@@ -55,12 +55,16 @@ impl Default for SweepOptions {
 /// `min_participants` participants: every subset of processes of
 /// sufficient size, with every assignment of values to it.
 ///
-/// Faces are returned **largest first**. The task-complex builders rely
-/// on this: feeding all full-participation faces before any smaller one
-/// keeps the shared facet anti-chain size-uniform for the bulk of the
-/// insertions, which lets [`IdComplex::add_simplex`] skip its
-/// absorption scans (the lower-participation executions are faces of
-/// full-participation ones and are absorbed on arrival).
+/// Faces are returned **largest first**, and the task-complex builders
+/// rely on the order. Feeding all full-participation faces before any
+/// smaller one keeps the shared facet anti-chain size-uniform for the
+/// bulk of the insertions, where [`IdComplex::add_simplex`] is a plain
+/// set insertion. The lower-participation executions that follow are
+/// mostly faces of full-participation ones, and each is rejected by one
+/// probe of the complex's vertex → facet index (the shortest slot list
+/// among its vertices) rather than by a scan over every facet.
+/// Inside each face the model operators emit facets from per-process
+/// view tables (see `ps_models`), interning every candidate view once.
 ///
 /// [`IdComplex::add_simplex`]: ps_topology::IdComplex::add_simplex
 pub fn input_faces(

@@ -60,6 +60,8 @@ usage:
   psph chain [--procs N]
 
 defaults: --procs 3 --f 1 --k 1 --p 2 --t 1 --family rooted --rounds 1
+limits: solve/sweep/conform/homology need --procs >= 1 and, for the
+        crash models (async, sync, semisync), --f below --procs.
 models: every model-taking subcommand also accepts `--model NAME`
         in place of the positional; unknown names are rejected with
         the list of valid models (no silent fallback).
@@ -83,7 +85,8 @@ serve:  reads queries from stdin (or --input FILE), one per line:
           | byzantine K T N R | dynamic K N R <rooted|strong>
         blank line = end of batch; `#` starts a comment; malformed
         lines are reported and skipped.  Prints one verdict line per
-        query and a metrics summary at end of input.
+        query and a metrics summary at end of input, then exits
+        nonzero if any line was rejected.
 conform: sweeps the grid for verdicts, then executes the matching
         protocol under adversary schedules of each point's model:
         Solvable points must PASS every executed schedule, Impossible
@@ -168,6 +171,25 @@ fn model_arg(args: &Args, valid: &[&str]) -> Result<String, ArgError> {
             valid.join(", ")
         )))
     }
+}
+
+/// Reads `--procs` (default 3) and `--f` (default 1) for the
+/// model-taking subcommands `solve`, `sweep`, `conform` and `homology`,
+/// rejecting instances no model defines: there must be at least one
+/// process, and in the crash models (the ones that read `--f`) at least
+/// one process must be able to survive, so `--f` stays below `--procs`.
+fn procs_and_f(args: &Args, model: &str) -> Result<(usize, usize), ArgError> {
+    let n = args.usize_opt("procs", 3)?;
+    let f = args.usize_opt("f", 1)?;
+    if n == 0 {
+        return Err(ArgError("--procs must be at least 1".into()));
+    }
+    if matches!(model, "async" | "sync" | "semisync") && f >= n {
+        return Err(ArgError(format!(
+            "--f {f} must be below --procs {n} (at most n crashes among n + 1 processes)"
+        )));
+    }
+    Ok((n, f))
 }
 
 /// Dispatches a parsed command line.
@@ -404,8 +426,7 @@ fn run_prover<P: Label, U: Label>(union: &ps_core::PseudosphereUnion<P, U>, leve
 
 fn solve(args: &Args) -> Result<(), ArgError> {
     let model = model_arg(args, &["async", "sync", "semisync", "byzantine", "dynamic"])?;
-    let n = args.usize_opt("procs", 3)?;
-    let f = args.usize_opt("f", 1)?;
+    let (n, f) = procs_and_f(args, &model)?;
     let k = args.usize_opt("k", 1)?;
     let p = args.usize_opt("p", 2)? as u32;
     let t = args.usize_opt("t", 1)?;
@@ -463,8 +484,7 @@ struct GridParams {
 /// Builds the `(k, r)` grid of [`SweepPoint`]s for `model` from the
 /// shared `--procs/--f/--k/--p/--t/--family/--rounds` options.
 fn grid_points(args: &Args, model: &str) -> Result<(Vec<SweepPoint>, GridParams), ArgError> {
-    let n = args.usize_opt("procs", 3)?;
-    let f = args.usize_opt("f", 1)?;
+    let (n, f) = procs_and_f(args, model)?;
     let k_max = args.usize_opt("k", 1)?;
     let p = args.usize_opt("p", 2)? as u32;
     let t = args.usize_opt("t", 1)?;
@@ -843,6 +863,7 @@ fn serve(args: &Args) -> Result<(), ArgError> {
     };
     let mut engine = QueryEngine::new(threads, opts, store);
     let mut batch: Vec<SweepPoint> = Vec::new();
+    let mut rejected = 0usize;
     let flush_batch =
         |engine: &mut QueryEngine, batch: &mut Vec<SweepPoint>| -> Result<(), ArgError> {
             if batch.is_empty() {
@@ -876,7 +897,10 @@ fn serve(args: &Args) -> Result<(), ArgError> {
         }
         match parse_query(line) {
             Ok(q) => batch.push(q),
-            Err(e) => println!("parse error (line skipped): {e}"),
+            Err(e) => {
+                rejected += 1;
+                println!("parse error (line skipped): {e}");
+            }
         }
     }
     flush_batch(&mut engine, &mut batch)?;
@@ -899,6 +923,11 @@ fn serve(args: &Args) -> Result<(), ArgError> {
         m.mean_micros(),
         m.max_micros
     );
+    if rejected > 0 {
+        return Err(ArgError(format!(
+            "{rejected} query line(s) rejected (see the parse errors above)"
+        )));
+    }
     Ok(())
 }
 
@@ -937,8 +966,7 @@ fn homology_model(args: &Args, model: &str) -> Result<(), ArgError> {
     use ps_topology::PreparedBoundary;
     use std::time::Instant;
 
-    let n = args.usize_opt("procs", 3)?;
-    let f = args.usize_opt("f", 1)?;
+    let (n, f) = procs_and_f(args, model)?;
     let k = args.usize_opt("k", 1)?;
     let p = args.usize_opt("p", 2)? as u32;
     let t_byz = args.usize_opt("t", 1)?;

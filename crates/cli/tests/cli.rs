@@ -331,8 +331,11 @@ fn serve_parses_new_model_queries() {
          dynamic 1 2 1 ring\n",
     )
     .unwrap();
-    let (out, _, ok) = psph(&["serve", "--input", input.to_str().unwrap()]);
-    assert!(ok, "{out}");
+    let (out, stderr, ok) = psph(&["serve", "--input", input.to_str().unwrap()]);
+    // the `ring` line is rejected, so the session ends nonzero after
+    // answering the valid lines
+    assert!(!ok, "{out}");
+    assert!(stderr.contains("1 query line(s) rejected"), "{stderr}");
     assert!(out.contains("byzantine k=2 t=1 n=3 r=1: solvable"), "{out}");
     assert!(
         out.contains("dynamic k=1 n=2 r=1 family=strong: solvable"),
@@ -446,7 +449,9 @@ fn serve_answers_batches_and_reports_metrics() {
         "--store",
         store.to_str().unwrap(),
     ]);
-    assert!(ok, "{out}");
+    // "not a query" is rejected: every valid line is still answered,
+    // then the session exits nonzero
+    assert!(!ok, "{out}");
     assert!(
         out.contains("async k=1 f=1 n=3 r=1: NO decision map"),
         "{out}"
@@ -464,7 +469,7 @@ fn serve_answers_batches_and_reports_metrics() {
         "--store",
         store.to_str().unwrap(),
     ]);
-    assert!(ok, "{warm}");
+    assert!(!ok, "{warm}");
     assert!(warm.contains("source=store"), "{warm}");
     assert!(warm.contains("solver calls: 0"), "{warm}");
     let _ = std::fs::remove_dir_all(&dir);
@@ -563,4 +568,63 @@ fn traffic_unknown_protocol_rejected_with_full_list() {
     for name in ["gossip", "floodset", "bv"] {
         assert!(stderr.contains(name), "{stderr}");
     }
+}
+
+#[test]
+fn serve_exit_status_reflects_rejected_lines() {
+    let dir = std::env::temp_dir().join("psph-cli-serve-exit");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let clean = dir.join("clean.txt");
+    std::fs::write(&clean, "async 1 1 3 1\n\nsync 1 1 3 1 1  # comment\n").unwrap();
+    let (out, _, ok) = psph(&["serve", "--input", clean.to_str().unwrap()]);
+    assert!(ok, "{out}");
+    assert!(out.contains("serve session: 2 queries"), "{out}");
+
+    let dirty = dir.join("dirty.txt");
+    std::fs::write(&dirty, "async 1 1 3 1\nasync 1 1\nsync 1 1 3 1 1\n").unwrap();
+    let (out, stderr, ok) = psph(&["serve", "--input", dirty.to_str().unwrap()]);
+    assert!(!ok, "a rejected line must fail the session: {out}");
+    assert!(stderr.contains("1 query line(s) rejected"), "{stderr}");
+    // the valid lines around the bad one are still answered
+    assert!(
+        out.contains("async k=1 f=1 n=3 r=1: NO decision map"),
+        "{out}"
+    );
+    assert!(out.contains("sync k=1 f=1 n=3 r=1 kpr=1:"), "{out}");
+    assert!(out.contains("serve session: 2 queries"), "{out}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn zero_processes_are_rejected() {
+    for cmd in ["solve", "sweep", "conform", "homology"] {
+        for model in ["sync", "async", "byzantine", "dynamic"] {
+            let (out, stderr, ok) = psph(&[cmd, model, "--procs", "0"]);
+            assert!(!ok, "{cmd} {model} --procs 0 accepted: {out}");
+            assert!(
+                stderr.contains("--procs must be at least 1"),
+                "{cmd} {model}: {stderr}"
+            );
+        }
+    }
+}
+
+#[test]
+fn failure_budget_must_leave_a_survivor() {
+    for cmd in ["solve", "sweep", "conform", "homology"] {
+        for model in ["async", "sync", "semisync"] {
+            for f in ["3", "5"] {
+                let (out, stderr, ok) = psph(&[cmd, model, "--procs", "3", "--f", f]);
+                assert!(!ok, "{cmd} {model} --procs 3 --f {f} accepted: {out}");
+                assert!(
+                    stderr.contains(&format!("--f {f} must be below --procs 3")),
+                    "{cmd} {model}: {stderr}"
+                );
+            }
+        }
+    }
+    // the largest budget (wait-free, f = n) is still accepted
+    let (out, _, ok) = psph(&["solve", "async", "--procs", "3", "--f", "2"]);
+    assert!(ok, "{out}");
 }

@@ -23,6 +23,7 @@ use std::collections::BTreeSet;
 use ps_core::{subsets_of_min_size, ProcessId, Pseudosphere, PseudosphereUnion};
 use ps_topology::{Complex, InternedBuilder, Label, Simplex};
 
+use crate::table::ViewTable;
 use crate::view::{input_views, InputSimplex, View};
 
 /// Parameters of the asynchronous model: `n_plus_1` processes total, at
@@ -150,68 +151,42 @@ impl AsyncModel {
         }
         // one round: each process independently hears a set of ≥ n+1-f
         // participants (including itself)
-        let one = self.one_round_views(state);
-        for facet in one.facets() {
-            self.round_into(facet, rounds - 1, out);
+        let table = self.round_table(state);
+        if rounds == 1 {
+            table.add_facets_into(out);
+        } else {
+            table.for_each_state(|next| self.round_into(next, rounds - 1, out));
         }
     }
 
-    /// One round applied to a simplex of views: the facets are all
-    /// combinations of admissible heard-sets (the realized Lemma 11
-    /// pseudosphere, with view labels).
-    fn one_round_views<I: Label>(&self, state: &Simplex<View<I>>) -> Complex<View<I>> {
+    /// One round applied to a simplex of views: each sender's candidate
+    /// views, one per admissible heard set — the table of the Lemma 11
+    /// pseudosphere with view labels. Below the participation threshold
+    /// the table has no columns.
+    fn round_table<I: Label>(&self, state: &Simplex<View<I>>) -> ViewTable<View<I>> {
         let senders: Vec<&View<I>> = state.vertices().iter().collect();
         let ids: BTreeSet<ProcessId> = senders.iter().map(|v| v.process()).collect();
         assert_eq!(ids.len(), senders.len(), "duplicate process in state");
         if ids.len() < self.min_heard() {
-            return Complex::new();
+            return ViewTable::new([]);
         }
-        // per-process admissible heard sets
-        let choices: Vec<Vec<BTreeSet<ProcessId>>> = senders
-            .iter()
-            .map(|v| {
-                let me = v.process();
-                let others: BTreeSet<ProcessId> =
-                    ids.iter().copied().filter(|q| *q != me).collect();
-                subsets_of_min_size(&others, self.min_heard().saturating_sub(1))
-                    .into_iter()
-                    .map(|mut m| {
-                        m.insert(me);
-                        m
-                    })
-                    .collect()
-            })
-            .collect();
         let view_of =
             |p: ProcessId| -> &View<I> { senders.iter().find(|v| v.process() == p).unwrap() };
-        // All facets are distinct with one vertex per sender, hence an
-        // anti-chain: no absorption scans needed.
-        let mut out = InternedBuilder::new();
-        let mut idx = vec![0usize; senders.len()];
-        loop {
-            out.add_facet_vertices_unchecked(senders.iter().enumerate().map(|(j, v)| {
-                let heard_ids = &choices[j][idx[j]];
-                View::Round {
-                    process: v.process(),
-                    heard: heard_ids
-                        .iter()
-                        .map(|q| (*q, view_of(*q).clone()))
-                        .collect(),
-                }
-            }));
-            let mut i = 0;
-            loop {
-                if i == senders.len() {
-                    return out.finish();
-                }
-                idx[i] += 1;
-                if idx[i] < choices[i].len() {
-                    break;
-                }
-                idx[i] = 0;
-                i += 1;
-            }
-        }
+        ViewTable::new(senders.iter().map(|v| {
+            let me = v.process();
+            let others: BTreeSet<ProcessId> = ids.iter().copied().filter(|q| *q != me).collect();
+            let views = subsets_of_min_size(&others, self.min_heard().saturating_sub(1))
+                .into_iter()
+                .map(|mut m| {
+                    m.insert(me);
+                    View::Round {
+                        process: me,
+                        heard: m.iter().map(|q| (*q, view_of(*q).clone())).collect(),
+                    }
+                })
+                .collect();
+            (me, views)
+        }))
     }
 
     /// Lemma 12's claimed connectivity of `A^r(S^m)`:
@@ -258,40 +233,14 @@ impl AsyncModel {
             out.push(Pseudosphere::new(base, families).expect("families cover base"));
             return;
         }
+        let table = self.round_table(state);
         if rounds == 1 {
             // one more round: the Lemma 11 pseudosphere with view values
-            let base = Simplex::new(state.vertices().iter().map(|v| v.process()).collect());
-            let ids: BTreeSet<ProcessId> = state.vertices().iter().map(|v| v.process()).collect();
-            let view_of = |p: ProcessId| -> &View<I> {
-                state.vertices().iter().find(|v| v.process() == p).unwrap()
-            };
-            let families = state
-                .vertices()
-                .iter()
-                .map(|v| {
-                    let me = v.process();
-                    let others: BTreeSet<ProcessId> =
-                        ids.iter().copied().filter(|q| *q != me).collect();
-                    let fam: BTreeSet<View<I>> =
-                        subsets_of_min_size(&others, self.min_heard().saturating_sub(1))
-                            .into_iter()
-                            .map(|mut m| {
-                                m.insert(me);
-                                View::Round {
-                                    process: me,
-                                    heard: m.iter().map(|q| (*q, view_of(*q).clone())).collect(),
-                                }
-                            })
-                            .collect();
-                    (me, fam)
-                })
-                .collect();
-            out.push(Pseudosphere::new(base, families).expect("families cover base"));
-            return;
-        }
-        let one = self.one_round_views(state);
-        for facet in one.facets() {
-            self.symbolic_rec(facet, rounds - 1, out);
+            if let Some(ps) = table.pseudosphere() {
+                out.push(ps);
+            }
+        } else {
+            table.for_each_state(|next| self.symbolic_rec(next, rounds - 1, out));
         }
     }
 }

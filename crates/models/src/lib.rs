@@ -22,6 +22,8 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod table;
+
 pub mod view;
 pub use view::{input_simplex, input_views, ss_input_views, InputSimplex, SsView, View};
 

@@ -19,6 +19,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use ps_core::{subsets_up_to_size_lex, ProcessId, Pseudosphere, PseudosphereUnion};
 use ps_topology::{Complex, InternedBuilder, Label, Simplex};
 
+use crate::table::ViewTable;
 use crate::view::{ss_input_views, InputSimplex, SsView};
 
 /// A failure pattern `F : K → microround`, values in `1..=p`.
@@ -307,64 +308,60 @@ impl SemiSyncModel {
         let cap = self.k_per_round.min(budget);
         for k_set in subsets_up_to_size_lex(&ids, cap) {
             for pattern in self.failure_patterns(&k_set) {
-                let one = self.one_round_views(state, &k_set, &pattern);
-                for facet in one.facets() {
-                    self.rec_into(facet, budget - k_set.len(), rounds - 1, out);
+                let table = self.round_table(state, &k_set, &pattern);
+                if rounds == 1 {
+                    table.add_facets_into(out);
+                } else {
+                    table.for_each_state(|next| {
+                        self.rec_into(next, budget - k_set.len(), rounds - 1, out)
+                    });
                 }
             }
         }
     }
 
-    /// One semi-synchronous round on a simplex of views: the realized
-    /// Lemma 19 pseudosphere with [`SsView`] labels.
-    fn one_round_views<I: Label>(
+    /// One semi-synchronous round on a simplex of views: each
+    /// survivor's candidate views, one per view vector of `[F]` — the
+    /// table of the Lemma 19 pseudosphere with [`SsView`] labels. No
+    /// survivors, no columns.
+    fn round_table<I: Label>(
         &self,
         state: &Simplex<SsView<I>>,
         k_set: &BTreeSet<ProcessId>,
         pattern: &FailurePattern,
-    ) -> Complex<SsView<I>> {
+    ) -> ViewTable<SsView<I>> {
         let senders: Vec<&SsView<I>> = state.vertices().iter().collect();
         let ids: BTreeSet<ProcessId> = senders.iter().map(|v| v.process()).collect();
-        let survivors: Vec<&SsView<I>> = senders
-            .iter()
-            .copied()
-            .filter(|v| !k_set.contains(&v.process()))
-            .collect();
-        let mut out = InternedBuilder::new();
-        if survivors.is_empty() {
-            return out.finish();
-        }
         let view_of =
             |p: ProcessId| -> &SsView<I> { senders.iter().find(|v| v.process() == p).unwrap() };
-        let box_views = self.view_box(&ids, pattern);
-        let mut idx = vec![0usize; survivors.len()];
-        loop {
-            // Distinct view vectors stay distinct after the μ > 0 filter,
-            // so the odometer emits an anti-chain of equal-dim facets.
-            out.add_facet_vertices_unchecked(survivors.iter().zip(&idx).map(|(v, &i)| {
-                let vector = &box_views[i];
-                SsView::Round {
-                    process: v.process(),
-                    heard: vector
+        // Processes with μ = 0 sent nothing that arrived and drop out of
+        // the heard map; distinct view vectors stay distinct.
+        let heard_maps: Vec<BTreeMap<ProcessId, (u32, SsView<I>)>> = self
+            .view_box(&ids, pattern)
+            .iter()
+            .map(|vector| {
+                vector
+                    .iter()
+                    .filter(|(_, mu)| **mu > 0)
+                    .map(|(q, mu)| (*q, (*mu, view_of(*q).clone())))
+                    .collect()
+            })
+            .collect();
+        ViewTable::new(
+            ids.iter()
+                .copied()
+                .filter(|p| !k_set.contains(p))
+                .map(|process| {
+                    let views = heard_maps
                         .iter()
-                        .filter(|(_, mu)| **mu > 0)
-                        .map(|(q, mu)| (*q, (*mu, view_of(*q).clone())))
-                        .collect(),
-                }
-            }));
-            let mut i = 0;
-            loop {
-                if i == survivors.len() {
-                    return out.finish();
-                }
-                idx[i] += 1;
-                if idx[i] < box_views.len() {
-                    break;
-                }
-                idx[i] = 0;
-                i += 1;
-            }
-        }
+                        .map(|heard| SsView::Round {
+                            process,
+                            heard: heard.clone(),
+                        })
+                        .collect();
+                    (process, views)
+                }),
+        )
     }
 
     /// Lemma 21's claimed connectivity of `M^r(S^m)`:
@@ -464,7 +461,9 @@ mod tests {
         let k: BTreeSet<ProcessId> = [pid(2)].into_iter().collect();
         for pattern in m.failure_patterns(&k) {
             let sym = m.member_pseudosphere(&input, &k, &pattern).realize();
-            let views = m.one_round_views(&ss_input_views(&input), &k, &pattern);
+            let views = m
+                .round_table(&ss_input_views(&input), &k, &pattern)
+                .complex();
             assert!(are_isomorphic(&sym, &views), "pattern {pattern:?} mismatch");
         }
     }

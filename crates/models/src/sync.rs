@@ -16,11 +16,12 @@
 //! (Lemma 15), and iterating with a per-round budget yields `S^r`
 //! (Lemmas 16–17, feeding the Theorem 18 round lower bound).
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use ps_core::{subsets_up_to_size_lex, ProcessId, Pseudosphere, PseudosphereUnion};
 use ps_topology::{Complex, InternedBuilder, Label, Simplex};
 
+use crate::table::ViewTable;
 use crate::view::{input_views, InputSimplex, View};
 
 /// Parameters of the synchronous model.
@@ -189,63 +190,61 @@ impl SyncModel {
         let ids: BTreeSet<ProcessId> = state.vertices().iter().map(|v| v.process()).collect();
         let cap = self.k_per_round.min(budget);
         for failure_set in subsets_up_to_size_lex(&ids, cap) {
-            let one = self.one_round_views(state, &failure_set);
-            for facet in one.facets() {
-                self.rec_into(facet, budget - failure_set.len(), rounds - 1, out);
+            let table = self.round_table(state, &failure_set);
+            if rounds == 1 {
+                table.add_facets_into(out);
+            } else {
+                table.for_each_state(|next| {
+                    self.rec_into(next, budget - failure_set.len(), rounds - 1, out)
+                });
             }
         }
     }
 
     /// One synchronous round on a simplex of views with failure set `K`:
-    /// the realized `ψ(state\K; 2^K)` with view labels.
-    fn one_round_views<I: Label>(
+    /// each survivor's candidate views, one per `L ⊆ K` (it hears every
+    /// survivor plus `L`) — the table of `ψ(state\K; 2^K)` with view
+    /// labels. No survivors, no columns.
+    fn round_table<I: Label>(
         &self,
         state: &Simplex<View<I>>,
         failure_set: &BTreeSet<ProcessId>,
-    ) -> Complex<View<I>> {
-        let senders: Vec<&View<I>> = state.vertices().iter().collect();
-        let survivors: Vec<&View<I>> = senders
-            .iter()
-            .copied()
-            .filter(|v| !failure_set.contains(&v.process()))
-            .collect();
-        if survivors.is_empty() {
-            return Complex::new();
-        }
-        let survivor_ids: BTreeSet<ProcessId> = survivors.iter().map(|v| v.process()).collect();
-        let fail_in: BTreeSet<ProcessId> = senders
+    ) -> ViewTable<View<I>> {
+        let fail_in: BTreeSet<ProcessId> = state
+            .vertices()
             .iter()
             .map(|v| v.process())
             .filter(|p| failure_set.contains(p))
             .collect();
-        let view_of =
-            |p: ProcessId| -> &View<I> { senders.iter().find(|v| v.process() == p).unwrap() };
-        let subsets = subsets_up_to_size_lex(&fail_in, fail_in.len());
-        // All facets are distinct and of equal dimension (one vertex per
-        // survivor), hence an anti-chain: no absorption scans needed.
-        let mut out = InternedBuilder::new();
-        let mut idx = vec![0usize; survivors.len()];
-        loop {
-            out.add_facet_vertices_unchecked(survivors.iter().zip(&idx).map(|(v, &i)| {
-                let heard: BTreeSet<ProcessId> = survivor_ids.union(&subsets[i]).copied().collect();
-                View::Round {
-                    process: v.process(),
-                    heard: heard.iter().map(|q| (*q, view_of(*q).clone())).collect(),
-                }
-            }));
-            let mut i = 0;
-            loop {
-                if i == survivors.len() {
-                    return out.finish();
-                }
-                idx[i] += 1;
-                if idx[i] < subsets.len() {
-                    break;
-                }
-                idx[i] = 0;
-                i += 1;
-            }
-        }
+        let heard_sets: Vec<BTreeMap<ProcessId, View<I>>> =
+            subsets_up_to_size_lex(&fail_in, fail_in.len())
+                .iter()
+                .map(|l| {
+                    state
+                        .vertices()
+                        .iter()
+                        .filter(|v| !failure_set.contains(&v.process()) || l.contains(&v.process()))
+                        .map(|v| (v.process(), v.clone()))
+                        .collect()
+                })
+                .collect();
+        ViewTable::new(
+            state
+                .vertices()
+                .iter()
+                .map(|v| v.process())
+                .filter(|p| !failure_set.contains(p))
+                .map(|process| {
+                    let views = heard_sets
+                        .iter()
+                        .map(|heard| View::Round {
+                            process,
+                            heard: heard.clone(),
+                        })
+                        .collect();
+                    (process, views)
+                }),
+        )
     }
 
     /// Lemma 16/17's claimed connectivity of `S^r(S^m)`:
@@ -306,49 +305,16 @@ impl SyncModel {
         let ids: BTreeSet<ProcessId> = state.vertices().iter().map(|v| v.process()).collect();
         let cap = self.k_per_round.min(budget);
         for failure_set in subsets_up_to_size_lex(&ids, cap) {
+            let table = self.round_table(state, &failure_set);
             if rounds == 1 {
                 // final round: the Lemma 14 pseudosphere with view values
-                let survivors: Vec<&View<I>> = state
-                    .vertices()
-                    .iter()
-                    .filter(|v| !failure_set.contains(&v.process()))
-                    .collect();
-                if survivors.is_empty() {
-                    continue;
+                if let Some(ps) = table.pseudosphere() {
+                    out.push(ps);
                 }
-                let survivor_ids: BTreeSet<ProcessId> =
-                    survivors.iter().map(|v| v.process()).collect();
-                let base = Simplex::new(survivor_ids.iter().copied().collect());
-                let view_of = |p: ProcessId| -> &View<I> {
-                    state.vertices().iter().find(|v| v.process() == p).unwrap()
-                };
-                let families = survivors
-                    .iter()
-                    .map(|v| {
-                        let fam: BTreeSet<View<I>> =
-                            subsets_up_to_size_lex(&failure_set, failure_set.len())
-                                .into_iter()
-                                .map(|l| {
-                                    let heard: BTreeSet<ProcessId> =
-                                        survivor_ids.union(&l).copied().collect();
-                                    View::Round {
-                                        process: v.process(),
-                                        heard: heard
-                                            .iter()
-                                            .map(|q| (*q, view_of(*q).clone()))
-                                            .collect(),
-                                    }
-                                })
-                                .collect();
-                        (v.process(), fam)
-                    })
-                    .collect();
-                out.push(Pseudosphere::new(base, families).expect("families cover base"));
             } else {
-                let one = self.one_round_views(state, &failure_set);
-                for facet in one.facets() {
-                    self.symbolic_rec(facet, budget - failure_set.len(), rounds - 1, out);
-                }
+                table.for_each_state(|next| {
+                    self.symbolic_rec(next, budget - failure_set.len(), rounds - 1, out)
+                });
             }
         }
     }
@@ -420,7 +386,7 @@ mod tests {
         let input = input_simplex(&[0u8, 1, 2]);
         for k_set in subsets_up_to_size_lex(&ps_core::process_set(3), 2) {
             let sym = m.one_round_failure_pseudosphere(&input, &k_set).realize();
-            let views = m.one_round_views(&input_views(&input), &k_set);
+            let views = m.round_table(&input_views(&input), &k_set).complex();
             assert!(are_isomorphic(&sym, &views), "K = {k_set:?} mismatch");
         }
     }
@@ -561,7 +527,7 @@ mod tests {
         let m = fig3_model();
         let input = input_simplex(&[0u8, 1, 2]);
         let k: BTreeSet<ProcessId> = [pid(0)].into_iter().collect();
-        let one = m.one_round_views(&input_views(&input), &k);
+        let one = m.round_table(&input_views(&input), &k).complex();
         for f in one.facets() {
             for v in f.vertices() {
                 assert_ne!(v.process(), pid(0));

@@ -16,7 +16,8 @@
 //!   r = 2 exceed 64 vertices but stay well under 128), and a sorted
 //!   vector fallback otherwise;
 //! - [`IdComplex`] mirrors the facet-anti-chain representation of
-//!   [`Complex`] over ids, with the vertex set and dimension cached;
+//!   [`Complex`] over ids, with the vertex set and dimension cached and
+//!   a vertex → facet index behind mixed-size absorption;
 //! - [`InternedBuilder`] accumulates facets given as raw label lists,
 //!   interning each label once at creation.
 //!
@@ -509,19 +510,149 @@ impl ExactSizeIterator for IdIter<'_> {}
 /// A simplicial complex over dense vertex ids: the facet anti-chain of
 /// [`Complex`], with the vertex set and dimension cached (both are
 /// monotone under facet insertion, so the caches never need rebuilding).
-#[derive(Clone, PartialEq, Eq, Default)]
+#[derive(Default)]
 pub struct IdComplex {
     facets: BTreeSet<IdSimplex>,
     vertices: BTreeSet<u32>,
     dim: i32,
-    /// Histogram of facet sizes (vertex counts). Kept exact so
-    /// [`IdComplex::add_simplex`] can skip absorption scans whenever
-    /// every stored facet has the same size as the incoming one: two
+    /// Histogram of facet sizes (vertex counts), kept exact. While every
+    /// stored facet has the size of the incoming one,
+    /// [`IdComplex::add_simplex`] needs no absorption query at all: two
     /// distinct equal-size simplexes are never comparable, so set
-    /// insertion alone maintains the anti-chain. Protocol-complex
-    /// construction inserts hundreds of thousands of equal-size facets,
-    /// which this turns from O(F) into O(log F) each.
+    /// insertion alone maintains the anti-chain. The histogram also
+    /// tells the indexed queries which side can be skipped (no facet of
+    /// size ≥ `m` ⇒ nothing covers the new simplex; none smaller ⇒
+    /// nothing to absorb).
     sizes: BTreeMap<usize, usize>,
+    /// Vertex → facet index, built on the first mixed-size insertion
+    /// and maintained from then on. A cache: equality, `Debug` and
+    /// `Clone` ignore it, and [`InternedBuilder::into_parts`] drops it.
+    index: Option<FacetIndex>,
+}
+
+impl Clone for IdComplex {
+    /// Clones the complex without its absorption index (rebuilt on
+    /// demand by the first mixed-size insertion into the clone).
+    fn clone(&self) -> Self {
+        IdComplex {
+            facets: self.facets.clone(),
+            vertices: self.vertices.clone(),
+            dim: self.dim,
+            sizes: self.sizes.clone(),
+            index: None,
+        }
+    }
+}
+
+impl PartialEq for IdComplex {
+    fn eq(&self, other: &Self) -> bool {
+        self.facets == other.facets
+            && self.vertices == other.vertices
+            && self.dim == other.dim
+            && self.sizes == other.sizes
+    }
+}
+
+impl Eq for IdComplex {}
+
+/// The vertex-indexed absorption engine behind
+/// [`IdComplex::add_simplex`].
+///
+/// Facets live in a slab of `u32` ids (slot `i` spans
+/// `ids[start[i]..start[i + 1]]`, sorted); each vertex lists the slots
+/// of the live facets containing it. A simplex `s` is a face of a stored
+/// facet only if that facet appears in the list of *every* vertex of
+/// `s`, so scanning the shortest such list decides coverage; and a
+/// facet `f ⊆ s` is found exactly once by scanning the lists of `s`'s
+/// vertices and counting each facet only at its smallest vertex. Both
+/// queries therefore touch O(facets sharing a vertex with `s`) slots
+/// instead of the whole anti-chain. Absorbed slots are unlinked from
+/// their vertex lists; their slab space is not reused.
+struct FacetIndex {
+    ids: Vec<u32>,
+    start: Vec<usize>,
+    by_vertex: Vec<Vec<u32>>,
+}
+
+impl FacetIndex {
+    fn new<'a>(facets: impl IntoIterator<Item = &'a IdSimplex>) -> Self {
+        let mut index = FacetIndex {
+            ids: Vec::new(),
+            start: vec![0],
+            by_vertex: Vec::new(),
+        };
+        for f in facets {
+            index.insert(f);
+        }
+        index
+    }
+
+    fn facet(&self, slot: u32) -> &[u32] {
+        let i = slot as usize;
+        &self.ids[self.start[i]..self.start[i + 1]]
+    }
+
+    fn insert(&mut self, s: &IdSimplex) {
+        let slot = u32::try_from(self.start.len() - 1).expect("facet slab overflow");
+        for id in s.ids() {
+            let v = id as usize;
+            if self.by_vertex.len() <= v {
+                self.by_vertex.resize_with(v + 1, Vec::new);
+            }
+            self.by_vertex[v].push(slot);
+            self.ids.push(id);
+        }
+        self.start.push(self.ids.len());
+    }
+
+    fn list(&self, id: u32) -> &[u32] {
+        self.by_vertex.get(id as usize).map_or(&[], Vec::as_slice)
+    }
+
+    /// `true` iff the sorted id set `s` is a face of a stored facet.
+    fn covers(&self, s: &[u32]) -> bool {
+        let Some(shortest) = s.iter().map(|&id| self.list(id)).min_by_key(|l| l.len()) else {
+            return false;
+        };
+        shortest
+            .iter()
+            .any(|&slot| is_sorted_subset(s, self.facet(slot)))
+    }
+
+    /// Unlinks and returns every stored facet that is a proper face of
+    /// the sorted id set `s`.
+    fn take_faces_of(&mut self, s: &[u32]) -> Vec<IdSimplex> {
+        let mut slots = Vec::new();
+        for &v in s {
+            for &slot in self.list(v) {
+                let f = self.facet(slot);
+                if f.len() < s.len() && f[0] == v && is_sorted_subset(f, s) {
+                    slots.push(slot);
+                }
+            }
+        }
+        slots
+            .into_iter()
+            .map(|slot| {
+                let f = self.facet(slot).to_vec();
+                for &id in &f {
+                    let list = &mut self.by_vertex[id as usize];
+                    let at = list.iter().position(|&x| x == slot).expect("indexed slot");
+                    list.swap_remove(at);
+                }
+                IdSimplex::from_sorted_ids(f)
+            })
+            .collect()
+    }
+}
+
+/// `a ⊆ b` for strictly increasing id slices (one merge pass).
+fn is_sorted_subset(a: &[u32], b: &[u32]) -> bool {
+    if a.len() > b.len() {
+        return false;
+    }
+    let mut rest = b.iter();
+    a.iter().all(|x| rest.by_ref().any(|y| y == x))
 }
 
 impl IdComplex {
@@ -532,6 +663,7 @@ impl IdComplex {
             vertices: BTreeSet::new(),
             dim: -1,
             sizes: BTreeMap::new(),
+            index: None,
         }
     }
 
@@ -541,37 +673,41 @@ impl IdComplex {
         for s in simplexes {
             c.add_simplex(s);
         }
-        c
+        c.finished()
+    }
+
+    /// Drops the absorption index of a complex that is done growing.
+    fn finished(mut self) -> Self {
+        self.index = None;
+        self
     }
 
     /// Adds a simplex (and implicitly all its faces), maintaining the
     /// facet anti-chain.
+    ///
+    /// While all stored facets share the size of `s`, this is a plain
+    /// set insertion. The first insertion that mixes sizes builds the
+    /// vertex → facet index once; from then on both absorption
+    /// questions — is `s` a face of a stored facet, and which smaller
+    /// facets does `s` swallow — are answered from the index lists of
+    /// `s`'s vertices rather than by a scan over every facet.
     pub fn add_simplex(&mut self, s: IdSimplex) {
         if s.is_empty() {
             return;
         }
-        // Fast path: every stored facet has the same vertex count as
-        // `s`. A face relation between equal-size simplexes is
-        // equality, so deduplicating insertion preserves the
-        // anti-chain with no scans.
         let m = s.len();
         if self.sizes.len() <= 1 && self.sizes.keys().all(|&k| k == m) {
             self.insert_facet_unchecked(s);
             return;
         }
-        let has_geq = self.sizes.range(m..).next().is_some();
-        if has_geq && self.facets.iter().any(|f| f.len() >= m && s.is_face_of(f)) {
+        let facets = &self.facets;
+        let index = self.index.get_or_insert_with(|| FacetIndex::new(facets));
+        let ids: Vec<u32> = s.ids().collect();
+        if self.sizes.range(m..).next().is_some() && index.covers(&ids) {
             return;
         }
         if self.sizes.range(..m).next().is_some() {
-            // only strictly smaller facets can be absorbed by `s`
-            let absorbed: Vec<IdSimplex> = self
-                .facets
-                .iter()
-                .filter(|f| f.len() < m && f.is_face_of(&s))
-                .cloned()
-                .collect();
-            for f in absorbed {
+            for f in index.take_faces_of(&ids) {
                 self.facets.remove(&f);
                 self.drop_size(f.len());
             }
@@ -582,13 +718,19 @@ impl IdComplex {
     /// Inserts a facet the caller guarantees is not comparable with any
     /// stored facet (e.g. all facets share a dimension and are
     /// distinct, or the insertion order is known to be an anti-chain).
-    /// Skips the absorption scans of [`IdComplex::add_simplex`].
+    /// Skips the absorption queries of [`IdComplex::add_simplex`].
     pub fn insert_facet_unchecked(&mut self, s: IdSimplex) {
         if s.is_empty() {
             return;
         }
         self.note_caches(&s);
         let m = s.len();
+        if let Some(index) = &mut self.index {
+            if self.facets.contains(&s) {
+                return;
+            }
+            index.insert(&s);
+        }
         if self.facets.insert(s) {
             *self.sizes.entry(m).or_insert(0) += 1;
         }
@@ -621,6 +763,11 @@ impl IdComplex {
     /// `true` iff every facet has the same dimension.
     pub fn is_pure(&self) -> bool {
         self.facets.iter().all(|f| f.dim() == self.dim)
+    }
+
+    /// Facet count per facet size (vertex count), for sizes present.
+    pub fn facet_size_counts(&self) -> &BTreeMap<usize, usize> {
+        &self.sizes
     }
 
     /// Number of facets.
@@ -715,7 +862,7 @@ impl IdComplex {
                 }
             }
         }
-        out
+        out.finished()
     }
 
     /// Union of two complexes over the same pool.
@@ -724,7 +871,7 @@ impl IdComplex {
         for f in &other.facets {
             out.add_simplex(f.clone());
         }
-        out
+        out.finished()
     }
 
     /// Intersection of two complexes over the same pool.
@@ -735,7 +882,7 @@ impl IdComplex {
                 out.add_simplex(f.intersection(g));
             }
         }
-        out
+        out.finished()
     }
 
     /// The subcomplex induced by the ids satisfying `keep`.
@@ -744,7 +891,7 @@ impl IdComplex {
         for f in &self.facets {
             out.add_simplex(f.restrict(&mut keep));
         }
-        out
+        out.finished()
     }
 
     /// The star of `s`: the closure of the facets containing `s`.
@@ -766,7 +913,7 @@ impl IdComplex {
                 out.add_simplex(f.restrict(|id| !s.contains(id)));
             }
         }
-        out
+        out.finished()
     }
 
     /// The simplicial join `K * L` over the same pool.
@@ -914,9 +1061,18 @@ impl<V: Label> InternedBuilder<V> {
         Complex::from_interned(&self.pool, &self.complex)
     }
 
-    /// Finishes, returning the raw interned parts.
+    /// Adds the facet spanned by already-interned ids (duplicates
+    /// merge), with absorption against previously added facets. Callers
+    /// that intern each label once up front (the round operators of
+    /// `ps-models`) use this to skip re-hashing labels per facet.
+    pub fn add_facet_ids(&mut self, ids: Vec<u32>) {
+        self.complex.add_simplex(IdSimplex::from_ids(ids));
+    }
+
+    /// Finishes, returning the raw interned parts. The complex's
+    /// absorption index is dropped, so finished complexes carry none.
     pub fn into_parts(self) -> (VertexPool<V>, IdComplex) {
-        (self.pool, self.complex)
+        (self.pool, self.complex.finished())
     }
 }
 

@@ -222,3 +222,127 @@ proptest! {
         prop_assert_eq!(builder.finish(), label);
     }
 }
+
+/// Random id sets for the absorption-index properties: up to 24 sets
+/// of one to five ids drawn from a window of twelve, so the sets overlap
+/// heavily (faces and cofaces of each other are common).
+fn arb_window_sets() -> impl Strategy<Value = Vec<BTreeSet<u32>>> {
+    prop::collection::vec(
+        prop::collection::btree_set(0u32..12, 1..=5usize),
+        1..=24usize,
+    )
+}
+
+/// A mixed-size insertion sequence: `sets` shifted to the window at `0`,
+/// `58` or `122` (the two upper windows straddle the 64 and 128
+/// `IdSimplex` tier boundaries) and fed in the given `order`: 0 = as
+/// drawn (sizes interleaved), 1 = smallest first (maximal absorption
+/// work), 2 = as drawn with its first half repeated at the end
+/// (duplicates of stored facets and of absorbed faces).
+fn insertion_sequence(sets: Vec<BTreeSet<u32>>, window: usize, order: usize) -> Vec<BTreeSet<u32>> {
+    let base = [0u32, 58, 122][window];
+    let mut seq: Vec<BTreeSet<u32>> = sets
+        .into_iter()
+        .map(|s| s.into_iter().map(|x| x + base).collect())
+        .collect();
+    match order {
+        1 => seq.sort_by_key(BTreeSet::len),
+        2 => {
+            let half: Vec<_> = seq[..seq.len().div_ceil(2)].to_vec();
+            seq.extend(half);
+        }
+        _ => {}
+    }
+    seq
+}
+
+/// The maximal sets of `seq`, in lexicographic order: the facet
+/// anti-chain any insertion order must produce.
+fn brute_force_antichain(seq: &[BTreeSet<u32>]) -> Vec<Vec<u32>> {
+    let distinct: BTreeSet<&BTreeSet<u32>> = seq.iter().collect();
+    let mut out: Vec<Vec<u32>> = distinct
+        .iter()
+        .filter(|s| !distinct.iter().any(|t| t != *s && s.is_subset(t)))
+        .map(|s| s.iter().copied().collect())
+        .collect();
+    out.sort();
+    out
+}
+
+fn id_simplex(s: &BTreeSet<u32>) -> IdSimplex {
+    IdSimplex::from_ids(s.iter().copied().collect())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn indexed_absorption_matches_brute_force(
+        sets in arb_window_sets(),
+        window in 0usize..3,
+        order in 0usize..3,
+    ) {
+        let seq = insertion_sequence(sets, window, order);
+        let mut idc = IdComplex::new();
+        let mut label = Complex::new();
+        for s in &seq {
+            idc.add_simplex(id_simplex(s));
+            label.add_simplex(Simplex::from_iter(s.iter().copied()));
+        }
+        let expect = brute_force_antichain(&seq);
+        let got: Vec<Vec<u32>> = idc.facets().map(|f| f.ids().collect()).collect();
+        prop_assert_eq!(&got, &expect);
+        let from_label: Vec<Vec<u32>> = label.facets().map(|f| f.vertices().to_vec()).collect();
+        prop_assert_eq!(&from_label, &expect);
+        // the size histogram, vertex set and dimension caches
+        let mut sizes = std::collections::BTreeMap::new();
+        for f in &expect {
+            *sizes.entry(f.len()).or_insert(0usize) += 1;
+        }
+        prop_assert_eq!(idc.facet_size_counts(), &sizes);
+        let verts: BTreeSet<u32> = expect.iter().flatten().copied().collect();
+        prop_assert_eq!(idc.vertex_set(), &verts);
+        let dim = expect.iter().map(|f| f.len() as i32 - 1).max().unwrap_or(-1);
+        prop_assert_eq!(idc.dim(), dim);
+    }
+
+    #[test]
+    fn index_is_invisible_to_equality_clone_and_debug(
+        sets in arb_window_sets(),
+        window in 0usize..3,
+        order in 0usize..3,
+        split in 0usize..24,
+    ) {
+        let seq = insertion_sequence(sets, window, order);
+        // `indexed` goes through add_simplex (mixed sizes build the
+        // index); `plain` inserts the final anti-chain directly and
+        // never needs one
+        let mut indexed = IdComplex::new();
+        for s in &seq {
+            indexed.add_simplex(id_simplex(s));
+        }
+        let mut plain = IdComplex::new();
+        for f in brute_force_antichain(&seq) {
+            plain.insert_facet_unchecked(IdSimplex::from_sorted_ids(f));
+        }
+        prop_assert_eq!(&indexed, &plain);
+        prop_assert_eq!(format!("{indexed:?}"), format!("{plain:?}"));
+        prop_assert_eq!(&IdComplex::from_facets(seq.iter().map(id_simplex)), &plain);
+        // a clone drops the index; growing the original (index kept up
+        // to date) and the clone (index rebuilt on demand) by the same
+        // suffix must agree with the brute force
+        let cut = split.min(seq.len());
+        let mut a = IdComplex::new();
+        for s in &seq[..cut] {
+            a.add_simplex(id_simplex(s));
+        }
+        let mut b = a.clone();
+        prop_assert_eq!(&a, &b);
+        for s in &seq[cut..] {
+            a.add_simplex(id_simplex(s));
+            b.add_simplex(id_simplex(s));
+        }
+        prop_assert_eq!(&a, &plain);
+        prop_assert_eq!(&b, &plain);
+    }
+}
