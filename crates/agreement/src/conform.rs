@@ -48,7 +48,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-use crate::experiments::{solvability_sweep_shared_opts, SweepOptions, SweepPoint};
+use crate::experiments::{solvability_sweep_shared_opts, SweepKey, SweepOptions, SweepPoint};
 use crate::KSetAgreement;
 
 /// Tuning knobs for [`conformance_check`].
@@ -258,41 +258,16 @@ impl ConformReport {
 }
 
 fn describe(point: &SweepPoint) -> (&'static str, usize, usize, usize, String, usize) {
-    match *point {
-        SweepPoint::Async {
-            k,
-            f,
-            n_plus_1,
-            rounds,
-        } => ("async", k, f, n_plus_1, "-".into(), rounds),
-        SweepPoint::Sync {
-            k,
-            f,
-            n_plus_1,
-            k_per_round,
-            rounds,
-        } => ("sync", k, f, n_plus_1, k_per_round.to_string(), rounds),
-        SweepPoint::SemiSync {
-            k,
-            f,
-            n_plus_1,
-            k_per_round,
-            rounds,
-            ..
-        } => ("semisync", k, f, n_plus_1, k_per_round.to_string(), rounds),
-        SweepPoint::Byzantine {
-            k,
-            t,
-            n_plus_1,
-            rounds,
-        } => ("byzantine", k, t, n_plus_1, "-".into(), rounds),
-        SweepPoint::Dynamic {
-            k,
-            n_plus_1,
-            rounds,
-            ..
-        } => ("dynamic", k, 0, n_plus_1, "-".into(), rounds),
-    }
+    let key = point.shared_key();
+    let kpr = key.k_per_round().map_or("-".into(), |kpr| kpr.to_string());
+    (
+        key.name(),
+        point.k(),
+        key.faults(),
+        key.n_plus_1(),
+        kpr,
+        key.rounds(),
+    )
 }
 
 /// Runs the solver sweep on `points`, then checks each verdict against
@@ -322,29 +297,17 @@ pub fn conformance_check(
 }
 
 fn check_point(point: &SweepPoint, solvable: bool, cfg: &ConformConfig, salt: u64) -> PointOutcome {
-    match *point {
-        SweepPoint::Sync {
-            k,
-            f,
-            n_plus_1,
-            k_per_round,
-            rounds,
-        } => sync_point(k, f, n_plus_1, k_per_round, rounds, solvable, cfg, salt),
-        SweepPoint::Async {
-            k,
-            f,
-            n_plus_1,
-            rounds,
-        } => async_point(k, f, n_plus_1, rounds, solvable, cfg, salt),
-        SweepPoint::SemiSync { .. } => PointOutcome::Skipped {
-            reason: "semisync is pinned via the Corollary 22 regression instead".into(),
-        },
-        SweepPoint::Byzantine { .. } => PointOutcome::Skipped {
-            reason: "no executable Byzantine protocol wired up".into(),
-        },
-        SweepPoint::Dynamic { .. } => PointOutcome::Skipped {
-            reason: "no executable dynamic-network protocol wired up".into(),
-        },
+    let skip = |reason: &str| PointOutcome::Skipped {
+        reason: reason.into(),
+    };
+    match point.shared_key() {
+        SweepKey::Sync { k_per_round, .. } => sync_point(point, k_per_round, solvable, cfg, salt),
+        SweepKey::Async { .. } => async_point(point, solvable, cfg, salt),
+        SweepKey::SemiSync { .. } => {
+            skip("semisync is pinned via the Corollary 22 regression instead")
+        }
+        SweepKey::Byzantine { .. } => skip("no executable Byzantine protocol wired up"),
+        SweepKey::Dynamic { .. } => skip("no executable dynamic-network protocol wired up"),
     }
 }
 
@@ -427,17 +390,15 @@ fn input_assignments(
     out
 }
 
-#[allow(clippy::too_many_arguments)]
 fn sync_point(
-    k: usize,
-    f: usize,
-    n_plus_1: usize,
+    point: &SweepPoint,
     k_per_round: usize,
-    rounds: usize,
     solvable: bool,
     cfg: &ConformConfig,
     salt: u64,
 ) -> PointOutcome {
+    let key = point.shared_key();
+    let (k, f, n_plus_1, rounds) = (point.k(), key.faults(), key.n_plus_1(), key.rounds());
     let task = KSetAgreement::canonical(k);
     let protocol = KSetFlood::new(rounds);
     let assignments = input_assignments(&task.values, n_plus_1, cfg, salt);
@@ -466,52 +427,27 @@ fn sync_point(
         }
     };
 
-    let mut executions = 0u64;
-    let mut first_witness: Option<(u64, WitnessSchedule, String)> = None;
-    for schedule in &schedules {
-        for inputs in &assignments {
-            executions += 1;
-            let exec = SyncExecutor::new(protocol, n_plus_1, f);
-            let mut adv = ScriptedAdversary {
-                script: schedule
-                    .iter()
-                    .map(|p| RoundFailures { crashes: p.clone() })
-                    .collect(),
-            };
-            let trace = exec.run(inputs, &mut adv, rounds);
-            if let Some(what) =
-                violation(&trace, &task, &inputs.iter().copied().collect(), &everyone)
-            {
-                let witness = WitnessSchedule::Sync {
-                    inputs: inputs.clone(),
-                    schedule: schedule.clone(),
-                };
-                if solvable {
-                    return PointOutcome::Fail {
-                        executions,
-                        witness,
-                        violation: what,
-                    };
-                }
-                if first_witness.is_none() {
-                    first_witness = Some((executions, witness, what));
-                }
-            }
-        }
-    }
-    outcome(solvable, executions, first_witness)
+    execute(&schedules, &assignments, solvable, |schedule, inputs| {
+        let exec = SyncExecutor::new(protocol, n_plus_1, f);
+        let mut adv = ScriptedAdversary {
+            script: schedule
+                .iter()
+                .map(|p| RoundFailures { crashes: p.clone() })
+                .collect(),
+        };
+        let trace = exec.run(inputs, &mut adv, rounds);
+        let what = violation(&trace, &task, &inputs.iter().copied().collect(), &everyone)?;
+        let witness = WitnessSchedule::Sync {
+            inputs: inputs.clone(),
+            schedule: schedule.clone(),
+        };
+        Some((witness, what))
+    })
 }
 
-#[allow(clippy::too_many_arguments)]
-fn async_point(
-    k: usize,
-    f: usize,
-    n_plus_1: usize,
-    rounds: usize,
-    solvable: bool,
-    cfg: &ConformConfig,
-    salt: u64,
-) -> PointOutcome {
+fn async_point(point: &SweepPoint, solvable: bool, cfg: &ConformConfig, salt: u64) -> PointOutcome {
+    let key = point.shared_key();
+    let (k, f, n_plus_1, rounds) = (point.k(), key.faults(), key.n_plus_1(), key.rounds());
     let task = KSetAgreement::canonical(k);
     let protocol = KSetFlood::new(rounds);
     let assignments = input_assignments(&task.values, n_plus_1, cfg, salt);
@@ -553,27 +489,44 @@ fn async_point(
         }
     }
 
-    let mut executions = 0u64;
-    let mut first_witness: Option<(u64, WitnessSchedule, String)> = None;
-    for (participants, schedule) in &runs {
-        for inputs in &assignments {
-            executions += 1;
+    execute(
+        &runs,
+        &assignments,
+        solvable,
+        |(participants, schedule), inputs| {
             let exec = AsyncExecutor::new(protocol, n_plus_1, f);
             let mut adv = ScriptedHeardSets {
                 script: schedule.clone(),
             };
             let trace = exec.run(inputs, participants, &mut adv, rounds);
-            if let Some(what) = violation(
-                &trace,
-                &task,
-                &inputs.iter().copied().collect(),
-                participants,
-            ) {
-                let witness = WitnessSchedule::Async {
-                    inputs: inputs.clone(),
-                    participants: participants.clone(),
-                    schedule: schedule.clone(),
-                };
+            let inputs_set = inputs.iter().copied().collect();
+            let what = violation(&trace, &task, &inputs_set, participants)?;
+            let witness = WitnessSchedule::Async {
+                inputs: inputs.clone(),
+                participants: participants.clone(),
+                schedule: schedule.clone(),
+            };
+            Some((witness, what))
+        },
+    )
+}
+
+/// Executes every run on every input assignment; `run` returns the
+/// witness and the violated property of a broken execution. A
+/// Solvable point FAILs at its first violation; an Impossible point
+/// reports its first violation as the WITNESS, or is UNBROKEN.
+fn execute<R>(
+    runs: &[R],
+    assignments: &[Vec<u64>],
+    solvable: bool,
+    mut run: impl FnMut(&R, &Vec<u64>) -> Option<(WitnessSchedule, String)>,
+) -> PointOutcome {
+    let mut executions = 0u64;
+    let mut first_witness: Option<(u64, WitnessSchedule, String)> = None;
+    for r in runs {
+        for inputs in assignments {
+            executions += 1;
+            if let Some((witness, what)) = run(r, inputs) {
                 if solvable {
                     return PointOutcome::Fail {
                         executions,
@@ -587,14 +540,6 @@ fn async_point(
             }
         }
     }
-    outcome(solvable, executions, first_witness)
-}
-
-fn outcome(
-    solvable: bool,
-    executions: u64,
-    first_witness: Option<(u64, WitnessSchedule, String)>,
-) -> PointOutcome {
     if solvable {
         PointOutcome::Pass { executions }
     } else {

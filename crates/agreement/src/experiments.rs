@@ -319,21 +319,6 @@ pub fn solvability<V: Label>(
     }
 }
 
-/// Attaches the task's certified process/value symmetries (closed from
-/// process and value transpositions, certified as automorphisms by
-/// [`task_symmetries`]) to an instance built from `(pool, complex)`.
-/// Returns how many the instance kept for orbit branching.
-fn attach_task_symmetries<V: crate::symmetry::SymmetricView>(
-    inst: &mut PreparedInstance<V>,
-    pool: &VertexPool<V>,
-    complex: &IdComplex,
-    n_plus_1: usize,
-    values: &BTreeSet<u64>,
-) -> usize {
-    let proc_gens = ps_models::process_transpositions(n_plus_1);
-    inst.attach_symmetries(task_symmetries(pool, complex, n_plus_1, &proc_gens, values))
-}
-
 /// One solver run against a prepared instance.
 fn solve_one<V: Label>(
     instance: &PreparedInstance<V>,
@@ -352,162 +337,18 @@ fn solve_one<V: Label>(
     }
 }
 
-/// Corollary 13 experiment: is r-round asynchronous k-set agreement
-/// solvable (as a decision map) for this instance?
-pub fn async_solvable(k: usize, f: usize, n_plus_1: usize, rounds: usize) -> SolvabilityResult {
-    async_solvable_opts(k, f, n_plus_1, rounds, SweepOptions::default())
-}
-
-/// [`async_solvable`] with explicit [`SweepOptions`] (symmetry
-/// exploitation, nogood learning).
-pub fn async_solvable_opts(
-    k: usize,
-    f: usize,
-    n_plus_1: usize,
-    rounds: usize,
-    opts: SweepOptions,
-) -> SolvabilityResult {
-    let task = KSetAgreement::canonical(k);
-    let (pool, complex) = async_task_parts(&task.values, n_plus_1, f, rounds);
-    let mut inst = PreparedInstance::from_interned(&pool, &complex, allowed_values);
-    if opts.symmetry {
-        attach_task_symmetries(&mut inst, &pool, &complex, n_plus_1, &task.values);
-    }
-    solve_one(&inst, k, opts.learning)
-}
-
-/// Theorem 18 experiment: one row of the round sweep — is r-round
-/// synchronous k-set agreement solvable for this instance?
-pub fn sync_solvable(
-    k: usize,
-    f: usize,
-    n_plus_1: usize,
-    k_per_round: usize,
-    rounds: usize,
-) -> SolvabilityResult {
-    sync_solvable_opts(k, f, n_plus_1, k_per_round, rounds, SweepOptions::default())
-}
-
-/// [`sync_solvable`] with explicit [`SweepOptions`].
-pub fn sync_solvable_opts(
-    k: usize,
-    f: usize,
-    n_plus_1: usize,
-    k_per_round: usize,
-    rounds: usize,
-    opts: SweepOptions,
-) -> SolvabilityResult {
-    let task = KSetAgreement::canonical(k);
-    let (pool, complex) = sync_task_parts(&task.values, n_plus_1, k_per_round, f, rounds);
-    let mut inst = PreparedInstance::from_interned(&pool, &complex, allowed_values);
-    if opts.symmetry {
-        attach_task_symmetries(&mut inst, &pool, &complex, n_plus_1, &task.values);
-    }
-    solve_one(&inst, k, opts.learning)
-}
-
-/// Lemma 21 / Corollary 22 side experiment: is r-round semi-synchronous
-/// k-set agreement solvable for this instance?
-pub fn semisync_solvable(
-    k: usize,
-    f: usize,
-    n_plus_1: usize,
-    k_per_round: usize,
-    microrounds: u32,
-    rounds: usize,
-) -> SolvabilityResult {
-    semisync_solvable_opts(
-        k,
-        f,
-        n_plus_1,
-        k_per_round,
-        microrounds,
-        rounds,
-        SweepOptions::default(),
-    )
-}
-
-/// [`semisync_solvable`] with explicit [`SweepOptions`].
-pub fn semisync_solvable_opts(
-    k: usize,
-    f: usize,
-    n_plus_1: usize,
-    k_per_round: usize,
-    microrounds: u32,
-    rounds: usize,
-    opts: SweepOptions,
-) -> SolvabilityResult {
-    let task = KSetAgreement::canonical(k);
-    let (pool, complex) =
-        semisync_task_parts(&task.values, n_plus_1, k_per_round, f, microrounds, rounds);
-    let mut inst = PreparedInstance::from_interned(&pool, &complex, allowed_values_ss);
-    if opts.symmetry {
-        attach_task_symmetries(&mut inst, &pool, &complex, n_plus_1, &task.values);
-    }
-    solve_one(&inst, k, opts.learning)
-}
-
-/// Mendes–Herlihy experiment: is r-round Byzantine-synchronous k-set
-/// agreement solvable (as a decision map on correct-process views) for
-/// this instance?
-pub fn byzantine_solvable(k: usize, t: usize, n_plus_1: usize, rounds: usize) -> SolvabilityResult {
-    byzantine_solvable_opts(k, t, n_plus_1, rounds, SweepOptions::default())
-}
-
-/// [`byzantine_solvable`] with explicit [`SweepOptions`].
-pub fn byzantine_solvable_opts(
-    k: usize,
-    t: usize,
-    n_plus_1: usize,
-    rounds: usize,
-    opts: SweepOptions,
-) -> SolvabilityResult {
-    let task = KSetAgreement::canonical(k);
-    let (pool, complex) = byzantine_task_parts(&task.values, n_plus_1, t, rounds);
-    let mut inst = PreparedInstance::from_interned(&pool, &complex, allowed_values);
-    if opts.symmetry {
-        attach_task_symmetries(&mut inst, &pool, &complex, n_plus_1, &task.values);
-    }
-    solve_one(&inst, k, opts.learning)
-}
-
-/// Dynamic-network experiment (Rincon Galeana et al.): is r-round k-set
-/// agreement under the oblivious message adversary `family` solvable
-/// for this instance?
-pub fn dynamic_solvable(
-    k: usize,
-    n_plus_1: usize,
-    family: GraphFamily,
-    rounds: usize,
-) -> SolvabilityResult {
-    dynamic_solvable_opts(k, n_plus_1, family, rounds, SweepOptions::default())
-}
-
-/// [`dynamic_solvable`] with explicit [`SweepOptions`].
-pub fn dynamic_solvable_opts(
-    k: usize,
-    n_plus_1: usize,
-    family: GraphFamily,
-    rounds: usize,
-    opts: SweepOptions,
-) -> SolvabilityResult {
-    let task = KSetAgreement::canonical(k);
-    let (pool, complex) = dynamic_task_parts(&task.values, n_plus_1, family, rounds);
-    let mut inst = PreparedInstance::from_interned(&pool, &complex, allowed_values);
-    if opts.symmetry {
-        attach_task_symmetries(&mut inst, &pool, &complex, n_plus_1, &task.values);
-    }
-    solve_one(&inst, k, opts.learning)
-}
-
-/// One `(model, n, r, k, f)` grid point of a solvability sweep.
+/// One `(model, n, r, k, f)` grid point: a model value with all its
+/// instance parameters.
 ///
-/// A point names one of the model drivers plus its instance
-/// parameters, so a whole parameter grid can be queued as data and
-/// dispatched to the worker pool by [`solvability_sweep`].
+/// This enum and [`SweepKey`] are the only places that know the five
+/// models. A point builds its task complex through
+/// [`SweepKey::parts`], runs with [`SweepPoint::run`], checks its
+/// parameters with [`SweepPoint::validate`], and reads and prints
+/// itself in the `psph serve` query grammar (`FromStr`/`Display`), so a
+/// whole parameter grid can be queued as data and handed to the sweeps.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SweepPoint {
-    /// [`async_solvable`]`(k, f, n_plus_1, rounds)`.
+    /// r-round asynchronous k-set agreement (Corollary 13).
     Async {
         /// Agreement parameter `k`.
         k: usize,
@@ -518,7 +359,7 @@ pub enum SweepPoint {
         /// Rounds `r`.
         rounds: usize,
     },
-    /// [`sync_solvable`]`(k, f, n_plus_1, k_per_round, rounds)`.
+    /// r-round synchronous k-set agreement (Theorem 18).
     Sync {
         /// Agreement parameter `k`.
         k: usize,
@@ -531,7 +372,8 @@ pub enum SweepPoint {
         /// Rounds `r`.
         rounds: usize,
     },
-    /// [`semisync_solvable`]`(k, f, n_plus_1, k_per_round, microrounds, rounds)`.
+    /// r-round semi-synchronous k-set agreement (Lemma 21 /
+    /// Corollary 22).
     SemiSync {
         /// Agreement parameter `k`.
         k: usize,
@@ -546,7 +388,8 @@ pub enum SweepPoint {
         /// Rounds `r`.
         rounds: usize,
     },
-    /// [`byzantine_solvable`]`(k, t, n_plus_1, rounds)`.
+    /// r-round Byzantine-synchronous k-set agreement, decided on
+    /// correct-process views (Mendes–Herlihy).
     Byzantine {
         /// Agreement parameter `k`.
         k: usize,
@@ -557,7 +400,8 @@ pub enum SweepPoint {
         /// Rounds `r`.
         rounds: usize,
     },
-    /// [`dynamic_solvable`]`(k, n_plus_1, family, rounds)`.
+    /// r-round k-set agreement under the oblivious message adversary
+    /// `family` (Rincon Galeana et al.).
     Dynamic {
         /// Agreement parameter `k`.
         k: usize,
@@ -573,7 +417,7 @@ pub enum SweepPoint {
 /// The complex-determining parameters of a [`SweepPoint`]: everything
 /// except the agreement parameter `k`. Points sharing a key search the
 /// **same** protocol complex (once the value domain is fixed), which is
-/// what [`solvability_sweep_shared`] exploits.
+/// what [`solvability_sweep_shared_opts`] exploits.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SweepKey {
     /// Asynchronous instance family.
@@ -627,6 +471,194 @@ pub enum SweepKey {
         /// Rounds `r`.
         rounds: usize,
     },
+}
+
+/// A task complex in interned form, as [`SweepKey::parts`] builds it:
+/// the vertex pool and the facet anti-chain over its ids, for either of
+/// the two view types the models produce.
+#[derive(Debug)]
+pub enum TaskParts {
+    /// Asynchronous, synchronous, Byzantine and dynamic complexes.
+    Views(VertexPool<View<u64>>, IdComplex),
+    /// Semi-synchronous complexes (microround-annotated views).
+    SsViews(VertexPool<SsView<u64>>, IdComplex),
+}
+
+impl From<(VertexPool<View<u64>>, IdComplex)> for TaskParts {
+    fn from((pool, complex): (VertexPool<View<u64>>, IdComplex)) -> Self {
+        TaskParts::Views(pool, complex)
+    }
+}
+
+impl From<(VertexPool<SsView<u64>>, IdComplex)> for TaskParts {
+    fn from((pool, complex): (VertexPool<SsView<u64>>, IdComplex)) -> Self {
+        TaskParts::SsViews(pool, complex)
+    }
+}
+
+impl TaskParts {
+    /// The facet anti-chain over vertex ids.
+    pub fn complex(&self) -> &IdComplex {
+        match self {
+            TaskParts::Views(_, c) | TaskParts::SsViews(_, c) => c,
+        }
+    }
+
+    /// The facet anti-chain, dropping the vertex pool.
+    pub fn into_complex(self) -> IdComplex {
+        match self {
+            TaskParts::Views(_, c) | TaskParts::SsViews(_, c) => c,
+        }
+    }
+
+    /// Prepares the complex for the solver over the value domain
+    /// `values`, attaching the task's certified process/value symmetries
+    /// (closed from process and value transpositions, certified as
+    /// automorphisms by [`task_symmetries`]) when `symmetry`.
+    fn prepare(&self, n_plus_1: usize, values: &BTreeSet<u64>, symmetry: bool) -> PreparedGroup {
+        fn prepare<V: crate::symmetry::SymmetricView>(
+            pool: &VertexPool<V>,
+            complex: &IdComplex,
+            allowed: impl Fn(&V) -> BTreeSet<u64>,
+            n_plus_1: usize,
+            values: &BTreeSet<u64>,
+            symmetry: bool,
+        ) -> PreparedInstance<V> {
+            let mut inst = PreparedInstance::from_interned(pool, complex, allowed);
+            if symmetry {
+                let proc_gens = ps_models::process_transpositions(n_plus_1);
+                inst.attach_symmetries(task_symmetries(
+                    pool, complex, n_plus_1, &proc_gens, values,
+                ));
+            }
+            inst
+        }
+        match self {
+            TaskParts::Views(pool, c) => {
+                PreparedGroup::Viewed(prepare(pool, c, allowed_values, n_plus_1, values, symmetry))
+            }
+            TaskParts::SsViews(pool, c) => PreparedGroup::SsViewed(prepare(
+                pool,
+                c,
+                allowed_values_ss,
+                n_plus_1,
+                values,
+                symmetry,
+            )),
+        }
+    }
+}
+
+impl SweepKey {
+    /// Builds this instance family's task complex over the value domain
+    /// `values` with the model's `*_task_parts` builder — the one place
+    /// a model is turned into a complex.
+    pub fn parts(&self, values: &BTreeSet<u64>) -> TaskParts {
+        match *self {
+            SweepKey::Async {
+                f,
+                n_plus_1,
+                rounds,
+            } => async_task_parts(values, n_plus_1, f, rounds).into(),
+            SweepKey::Sync {
+                f,
+                n_plus_1,
+                k_per_round,
+                rounds,
+            } => sync_task_parts(values, n_plus_1, k_per_round, f, rounds).into(),
+            SweepKey::SemiSync {
+                f,
+                n_plus_1,
+                k_per_round,
+                microrounds,
+                rounds,
+            } => semisync_task_parts(values, n_plus_1, k_per_round, f, microrounds, rounds).into(),
+            SweepKey::Byzantine {
+                t,
+                n_plus_1,
+                rounds,
+            } => byzantine_task_parts(values, n_plus_1, t, rounds).into(),
+            SweepKey::Dynamic {
+                n_plus_1,
+                family,
+                rounds,
+            } => dynamic_task_parts(values, n_plus_1, family, rounds).into(),
+        }
+    }
+
+    /// The model's name, as the CLI and the query grammar spell it.
+    pub fn name(&self) -> &'static str {
+        match self {
+            SweepKey::Async { .. } => "async",
+            SweepKey::Sync { .. } => "sync",
+            SweepKey::SemiSync { .. } => "semisync",
+            SweepKey::Byzantine { .. } => "byzantine",
+            SweepKey::Dynamic { .. } => "dynamic",
+        }
+    }
+
+    /// Number of processes `n + 1`.
+    pub fn n_plus_1(&self) -> usize {
+        match *self {
+            SweepKey::Async { n_plus_1, .. }
+            | SweepKey::Sync { n_plus_1, .. }
+            | SweepKey::SemiSync { n_plus_1, .. }
+            | SweepKey::Byzantine { n_plus_1, .. }
+            | SweepKey::Dynamic { n_plus_1, .. } => n_plus_1,
+        }
+    }
+
+    /// Rounds `r`.
+    pub fn rounds(&self) -> usize {
+        match *self {
+            SweepKey::Async { rounds, .. }
+            | SweepKey::Sync { rounds, .. }
+            | SweepKey::SemiSync { rounds, .. }
+            | SweepKey::Byzantine { rounds, .. }
+            | SweepKey::Dynamic { rounds, .. } => rounds,
+        }
+    }
+
+    /// Whether the model is one of the crash-failure models (async,
+    /// sync, semisync), whose failure budget `f` must leave a survivor.
+    pub fn is_crash_model(&self) -> bool {
+        matches!(
+            self,
+            SweepKey::Async { .. } | SweepKey::Sync { .. } | SweepKey::SemiSync { .. }
+        )
+    }
+
+    /// How many processes the adversary may corrupt: the crash budget
+    /// `f`, the Byzantine budget `t`, or 0 under a message adversary.
+    pub fn faults(&self) -> usize {
+        match *self {
+            SweepKey::Async { f, .. } | SweepKey::Sync { f, .. } | SweepKey::SemiSync { f, .. } => {
+                f
+            }
+            SweepKey::Byzantine { t, .. } => t,
+            SweepKey::Dynamic { .. } => 0,
+        }
+    }
+
+    /// Crashes allowed per round, for the models that bound them.
+    pub fn k_per_round(&self) -> Option<usize> {
+        match *self {
+            SweepKey::Sync { k_per_round, .. } | SweepKey::SemiSync { k_per_round, .. } => {
+                Some(k_per_round)
+            }
+            _ => None,
+        }
+    }
+
+    /// The adversary's budget as the CLI tables label it: `f = F`,
+    /// `t = T`, or `family = NAME`.
+    pub fn budget(&self) -> String {
+        match *self {
+            SweepKey::Byzantine { t, .. } => format!("t = {t}"),
+            SweepKey::Dynamic { family, .. } => format!("family = {}", family.name()),
+            _ => format!("f = {}", self.faults()),
+        }
+    }
 }
 
 impl SweepPoint {
@@ -703,7 +735,8 @@ impl SweepPoint {
         }
     }
 
-    /// Runs this grid point's solver (serially, in the calling thread).
+    /// Runs this grid point's solver (serially, in the calling thread)
+    /// on its canonical value domain `{0, …, k}`.
     pub fn run(&self) -> SolvabilityResult {
         self.run_opts(SweepOptions::default())
     }
@@ -711,90 +744,25 @@ impl SweepPoint {
     /// [`SweepPoint::run`] with explicit [`SweepOptions`] (symmetry
     /// exploitation, nogood learning).
     pub fn run_opts(&self, opts: SweepOptions) -> SolvabilityResult {
-        match *self {
-            SweepPoint::Async {
-                k,
-                f,
-                n_plus_1,
-                rounds,
-            } => async_solvable_opts(k, f, n_plus_1, rounds, opts),
-            SweepPoint::Sync {
-                k,
-                f,
-                n_plus_1,
-                k_per_round,
-                rounds,
-            } => sync_solvable_opts(k, f, n_plus_1, k_per_round, rounds, opts),
-            SweepPoint::SemiSync {
-                k,
-                f,
-                n_plus_1,
-                k_per_round,
-                microrounds,
-                rounds,
-            } => semisync_solvable_opts(k, f, n_plus_1, k_per_round, microrounds, rounds, opts),
-            SweepPoint::Byzantine {
-                k,
-                t,
-                n_plus_1,
-                rounds,
-            } => byzantine_solvable_opts(k, t, n_plus_1, rounds, opts),
-            SweepPoint::Dynamic {
-                k,
-                n_plus_1,
-                family,
-                rounds,
-            } => dynamic_solvable_opts(k, n_plus_1, family, rounds, opts),
-        }
+        let k = self.k();
+        let values: BTreeSet<u64> = (0..=k as u64).collect();
+        build_group(&self.shared_key(), &values, opts.symmetry).solve(k, opts.learning)
     }
 }
 
 /// Runs every grid point as an independent job on a worker pool of
-/// `threads` threads (see [`ps_topology::parallel`]). Results come back
-/// in input order regardless of scheduling, so the output is identical
-/// to running each point serially.
-pub fn solvability_sweep(points: &[SweepPoint], threads: usize) -> Vec<SolvabilityResult> {
-    solvability_sweep_opts(points, threads, SweepOptions::default())
-}
-
-/// [`solvability_sweep`] with explicit [`SweepOptions`] (per-point
-/// symmetry exploitation only — the independent path never shares
-/// complexes, so there is nothing to deduplicate).
+/// `threads` threads (see [`ps_topology::parallel`]), each on its own
+/// canonical value domain — the per-point reference path. Results come
+/// back in input order regardless of scheduling, so the output is
+/// identical to running each point serially. Only per-point symmetry
+/// exploitation applies: the independent path never shares complexes,
+/// so there is nothing to deduplicate.
 pub fn solvability_sweep_opts(
     points: &[SweepPoint],
     threads: usize,
     opts: SweepOptions,
 ) -> Vec<SolvabilityResult> {
     ps_topology::parallel::parallel_map(points, threads, |_, p| p.run_opts(opts))
-}
-
-/// [`solvability_sweep`] with the globally configured thread count
-/// ([`ps_topology::parallel::configured_threads`]).
-pub fn solvability_sweep_auto(points: &[SweepPoint]) -> Vec<SolvabilityResult> {
-    solvability_sweep(points, ps_topology::parallel::configured_threads())
-}
-
-/// Amortized sweep: points are grouped by [`SweepPoint::shared_key`],
-/// and each group builds its protocol complex, interns it, and indexes
-/// its facets **once**, then solves every `k` of the group against that
-/// one [`PreparedInstance`]. Each group is one job on the worker pool;
-/// results come back in input order, so the output is identical across
-/// thread counts.
-///
-/// **Value domain.** A group containing several `k` values needs a
-/// single input domain, so the whole group runs on the fixed domain
-/// `{0, …, k_max}` (where `k_max` is the group's largest `k`) rather
-/// than each point's per-`k` canonical domain `{0, …, k}`. A point with
-/// `k == k_max` is therefore *exactly* its canonical instance; a point
-/// with smaller `k` is its canonical task posed over the group's larger
-/// input domain — a harder instance (any decision map restricts to the
-/// canonical sub-domain), and for the crash-failure models here the
-/// solvability threshold is domain-size-independent, so verdicts agree
-/// with [`solvability_sweep`] (asserted by tests on small grids). The
-/// reported `vertices`/`facets` describe the complex actually searched,
-/// which for `k < k_max` is larger than the canonical one.
-pub fn solvability_sweep_shared(points: &[SweepPoint], threads: usize) -> Vec<SolvabilityResult> {
-    solvability_sweep_shared_opts(points, threads, SweepOptions::default())
 }
 
 /// A prepared shared-key group: the two view label types a [`SweepKey`]
@@ -851,94 +819,108 @@ impl PreparedGroup {
         }
     }
 
-    pub(crate) fn solve_ks(&self, ks: &[usize], learning: bool) -> Vec<(usize, SolvabilityResult)> {
+    pub(crate) fn solve(&self, k: usize, learning: bool) -> SolvabilityResult {
         match self {
-            PreparedGroup::Viewed(inst) => ks
-                .iter()
-                .map(|&k| (k, solve_one(inst, k, learning)))
-                .collect(),
-            PreparedGroup::SsViewed(inst) => ks
-                .iter()
-                .map(|&k| (k, solve_one(inst, k, learning)))
-                .collect(),
+            PreparedGroup::Viewed(inst) => solve_one(inst, k, learning),
+            PreparedGroup::SsViewed(inst) => solve_one(inst, k, learning),
         }
+    }
+
+    pub(crate) fn solve_ks(&self, ks: &[usize], learning: bool) -> Vec<(usize, SolvabilityResult)> {
+        ks.iter().map(|&k| (k, self.solve(k, learning))).collect()
     }
 }
 
 /// Builds one shared-key group's prepared instance over the value
 /// domain `values`, attaching certified task symmetries when `symmetry`.
 pub(crate) fn build_group(key: &SweepKey, values: &BTreeSet<u64>, symmetry: bool) -> PreparedGroup {
-    match *key {
-        SweepKey::Async {
-            f,
-            n_plus_1,
-            rounds,
-        } => {
-            let (pool, complex) = async_task_parts(values, n_plus_1, f, rounds);
-            let mut inst = PreparedInstance::from_interned(&pool, &complex, allowed_values);
-            if symmetry {
-                attach_task_symmetries(&mut inst, &pool, &complex, n_plus_1, values);
-            }
-            PreparedGroup::Viewed(inst)
-        }
-        SweepKey::Sync {
-            f,
-            n_plus_1,
-            k_per_round,
-            rounds,
-        } => {
-            let (pool, complex) = sync_task_parts(values, n_plus_1, k_per_round, f, rounds);
-            let mut inst = PreparedInstance::from_interned(&pool, &complex, allowed_values);
-            if symmetry {
-                attach_task_symmetries(&mut inst, &pool, &complex, n_plus_1, values);
-            }
-            PreparedGroup::Viewed(inst)
-        }
-        SweepKey::SemiSync {
-            f,
-            n_plus_1,
-            k_per_round,
-            microrounds,
-            rounds,
-        } => {
-            let (pool, complex) =
-                semisync_task_parts(values, n_plus_1, k_per_round, f, microrounds, rounds);
-            let mut inst = PreparedInstance::from_interned(&pool, &complex, allowed_values_ss);
-            if symmetry {
-                attach_task_symmetries(&mut inst, &pool, &complex, n_plus_1, values);
-            }
-            PreparedGroup::SsViewed(inst)
-        }
-        SweepKey::Byzantine {
-            t,
-            n_plus_1,
-            rounds,
-        } => {
-            let (pool, complex) = byzantine_task_parts(values, n_plus_1, t, rounds);
-            let mut inst = PreparedInstance::from_interned(&pool, &complex, allowed_values);
-            if symmetry {
-                attach_task_symmetries(&mut inst, &pool, &complex, n_plus_1, values);
-            }
-            PreparedGroup::Viewed(inst)
-        }
-        SweepKey::Dynamic {
-            n_plus_1,
-            family,
-            rounds,
-        } => {
-            let (pool, complex) = dynamic_task_parts(values, n_plus_1, family, rounds);
-            let mut inst = PreparedInstance::from_interned(&pool, &complex, allowed_values);
-            if symmetry {
-                attach_task_symmetries(&mut inst, &pool, &complex, n_plus_1, values);
-            }
-            PreparedGroup::Viewed(inst)
-        }
-    }
+    key.parts(values).prepare(key.n_plus_1(), values, symmetry)
 }
 
-/// [`solvability_sweep_shared`] with explicit [`SweepOptions`].
+/// The points of a grid that share one [`SweepKey`]: their agreement
+/// parameters, and the group's value domain `{0, …, k_max}` for the
+/// largest of them.
+struct Group {
+    key: SweepKey,
+    ks: BTreeSet<usize>,
+    values: BTreeSet<u64>,
+}
+
+/// The common step of the shared sweeps: the groups of `points` by
+/// [`SweepPoint::shared_key`] (in key order), and each point's group
+/// index, by which a sweep scatters its `(group, k)` results back to
+/// the points in input order.
+fn group_points(points: &[SweepPoint]) -> (Vec<Group>, Vec<usize>) {
+    let mut ks_of: BTreeMap<SweepKey, BTreeSet<usize>> = BTreeMap::new();
+    for p in points {
+        ks_of.entry(p.shared_key()).or_default().insert(p.k());
+    }
+    let keys: Vec<&SweepKey> = ks_of.keys().collect();
+    let group_of = points
+        .iter()
+        .map(|p| keys.binary_search(&&p.shared_key()).expect("grouped above"))
+        .collect();
+    let groups = ks_of
+        .into_iter()
+        .map(|(key, ks)| {
+            let k_max = *ks.last().expect("group is nonempty");
+            Group {
+                key,
+                ks,
+                values: (0..=k_max as u64).collect(),
+            }
+        })
+        .collect();
+    (groups, group_of)
+}
+
+/// Per solving class (keyed by its representative group): the union of
+/// its members' agreement parameters.
+fn class_ks(groups: &[Group], rep_of: &[usize]) -> BTreeMap<usize, BTreeSet<usize>> {
+    let mut class_ks: BTreeMap<usize, BTreeSet<usize>> = BTreeMap::new();
+    for (g, &rep) in groups.iter().zip(rep_of) {
+        class_ks.entry(rep).or_default().extend(&g.ks);
+    }
+    class_ks
+}
+
+/// Replays each class's `(representative, k)` verdicts to every member
+/// point, in input order. Class members are isomorphic instances, so the
+/// vertex/facet counts replayed with a verdict are the members' own.
+fn scatter_classes(
+    points: &[SweepPoint],
+    group_of: &[usize],
+    rep_of: &[usize],
+    verdicts: &BTreeMap<(usize, usize), SolvabilityResult>,
+) -> Vec<SolvabilityResult> {
+    points
+        .iter()
+        .zip(group_of)
+        .map(|(p, &j)| verdicts[&(rep_of[j], p.k())].clone())
+        .collect()
+}
+
+/// Amortized sweep: points are grouped by [`SweepPoint::shared_key`],
+/// and each group builds its protocol complex, interns it, and indexes
+/// its facets **once**, then solves every `k` of the group against that
+/// one [`PreparedInstance`]. Each group is one job on the worker pool;
+/// results come back in input order, so the output is identical across
+/// thread counts.
 ///
-/// With `symmetry` on, an extra deduplication layer runs between
+/// **Value domain.** A group containing several `k` values needs a
+/// single input domain, so the whole group runs on the fixed domain
+/// `{0, …, k_max}` (where `k_max` is the group's largest `k`) rather
+/// than each point's per-`k` canonical domain `{0, …, k}`. A point with
+/// `k == k_max` is therefore *exactly* its canonical instance; a point
+/// with smaller `k` is its canonical task posed over the group's larger
+/// input domain — a harder instance (any decision map restricts to the
+/// canonical sub-domain), and for the crash-failure models here the
+/// solvability threshold is domain-size-independent, so verdicts agree
+/// with [`solvability_sweep_opts`] (asserted by tests on small grids).
+/// The reported `vertices`/`facets` describe the complex actually
+/// searched, which for `k < k_max` is larger than the canonical one.
+///
+/// **Deduplication.** With `symmetry` on, an extra layer runs between
 /// building and solving: groups whose prepared instances have colliding
 /// cheap fingerprints (vertex count, facet-size multiset, domain
 /// multiset) are canonicalized ([`crate::symmetry::instance_key`]), and
@@ -955,39 +937,22 @@ pub fn solvability_sweep_shared_opts(
     threads: usize,
     opts: SweepOptions,
 ) -> Vec<SolvabilityResult> {
-    let mut groups: BTreeMap<SweepKey, Vec<usize>> = BTreeMap::new();
-    for (i, p) in points.iter().enumerate() {
-        groups.entry(p.shared_key()).or_default().push(i);
-    }
-    let jobs: Vec<(SweepKey, Vec<usize>)> = groups.into_iter().collect();
+    let (groups, group_of) = group_points(points);
 
-    // Phase A1 (parallel): build each group's instance (+ symmetries)
-    // and a cheap isomorphism-invariant fingerprint.
-    let job_ids: Vec<usize> = (0..jobs.len()).collect();
+    // Phase A1 (parallel): build each group's instance (+ symmetries).
     let built: Vec<PreparedGroup> =
-        ps_topology::parallel::parallel_map(&job_ids, threads, |_, &j| {
-            let (key, idxs) = &jobs[j];
-            let k_max = idxs
-                .iter()
-                .map(|&i| points[i].k())
-                .max()
-                .expect("group is nonempty");
-            let values: BTreeSet<u64> = (0..=k_max as u64).collect();
-            build_group(key, &values, opts.symmetry)
+        ps_topology::parallel::parallel_map(&groups, threads, |_, g| {
+            build_group(&g.key, &g.values, opts.symmetry)
         });
 
     // Serial: find fingerprint collisions; Phase A2 (parallel):
     // canonicalize only the colliding groups; serial: merge groups with
     // equal exact keys into classes, `rep_of[j]` = solving representative.
-    let mut rep_of: Vec<usize> = (0..jobs.len()).collect();
-    if opts.symmetry && jobs.len() > 1 {
+    let mut rep_of: Vec<usize> = (0..groups.len()).collect();
+    if opts.symmetry && groups.len() > 1 {
         let mut by_fp: BTreeMap<_, Vec<usize>> = BTreeMap::new();
         for (j, g) in built.iter().enumerate() {
-            let fp = match g {
-                PreparedGroup::Viewed(inst) => instance_fingerprint(inst),
-                PreparedGroup::SsViewed(inst) => instance_fingerprint(inst),
-            };
-            by_fp.entry(fp).or_default().push(j);
+            by_fp.entry(g.fingerprint()).or_default().push(j);
         }
         let colliding: Vec<usize> = by_fp
             .into_values()
@@ -1005,12 +970,7 @@ pub fn solvability_sweep_shared_opts(
 
     // Phase B (parallel): each class representative solves the union of
     // its members' agreement parameters once.
-    let mut class_ks: BTreeMap<usize, BTreeSet<usize>> = BTreeMap::new();
-    for (j, (_, idxs)) in jobs.iter().enumerate() {
-        let ks = class_ks.entry(rep_of[j]).or_default();
-        ks.extend(idxs.iter().map(|&i| points[i].k()));
-    }
-    let solve_jobs: Vec<(usize, Vec<usize>)> = class_ks
+    let solve_jobs: Vec<(usize, Vec<usize>)> = class_ks(&groups, &rep_of)
         .into_iter()
         .map(|(rep, ks)| (rep, ks.into_iter().collect()))
         .collect();
@@ -1018,67 +978,13 @@ pub fn solvability_sweep_shared_opts(
         ps_topology::parallel::parallel_map(&solve_jobs, threads, |_, (rep, ks)| {
             built[*rep].solve_ks(ks, opts.learning)
         });
-
-    // Scatter: replay each class's verdicts to every member point.
-    // Class members are isomorphic instances, so the vertex/facet
-    // counts replayed with the verdict are the members' own.
     let mut verdicts: BTreeMap<(usize, usize), SolvabilityResult> = BTreeMap::new();
     for ((rep, _), results) in solve_jobs.iter().zip(solved) {
         for (k, r) in results {
             verdicts.insert((*rep, k), r);
         }
     }
-    let mut out: Vec<Option<SolvabilityResult>> = vec![None; points.len()];
-    for (j, (_, idxs)) in jobs.iter().enumerate() {
-        for &i in idxs {
-            out[i] = Some(verdicts[&(rep_of[j], points[i].k())].clone());
-        }
-    }
-    out.into_iter()
-        .map(|r| r.expect("every point belongs to exactly one group"))
-        .collect()
-}
-
-/// [`solvability_sweep_shared`] with the globally configured thread
-/// count ([`ps_topology::parallel::configured_threads`]).
-pub fn solvability_sweep_shared_auto(points: &[SweepPoint]) -> Vec<SolvabilityResult> {
-    solvability_sweep_shared(points, ps_topology::parallel::configured_threads())
-}
-
-/// Builds one shared-key group's protocol complex (interned form only —
-/// no label resolution, no solver instance) over the value domain
-/// `values`.
-pub(crate) fn build_key_complex(key: &SweepKey, values: &BTreeSet<u64>) -> IdComplex {
-    match *key {
-        SweepKey::Async {
-            f,
-            n_plus_1,
-            rounds,
-        } => async_task_parts(values, n_plus_1, f, rounds).1,
-        SweepKey::Sync {
-            f,
-            n_plus_1,
-            k_per_round,
-            rounds,
-        } => sync_task_parts(values, n_plus_1, k_per_round, f, rounds).1,
-        SweepKey::SemiSync {
-            f,
-            n_plus_1,
-            k_per_round,
-            microrounds,
-            rounds,
-        } => semisync_task_parts(values, n_plus_1, k_per_round, f, microrounds, rounds).1,
-        SweepKey::Byzantine {
-            t,
-            n_plus_1,
-            rounds,
-        } => byzantine_task_parts(values, n_plus_1, t, rounds).1,
-        SweepKey::Dynamic {
-            n_plus_1,
-            family,
-            rounds,
-        } => dynamic_task_parts(values, n_plus_1, family, rounds).1,
-    }
+    scatter_classes(points, &group_of, &rep_of, &verdicts)
 }
 
 /// The mod-2 homological connectivity verdict of one sweep point
@@ -1118,35 +1024,22 @@ pub struct ConnectivityResult {
 /// results scatter back by input index, so the output is identical
 /// across thread counts.
 ///
-/// **Value domain.** As in [`solvability_sweep_shared`], a group runs
-/// on the fixed domain `{0, …, k_max}` of its largest `k`, so the
+/// **Value domain.** As in [`solvability_sweep_shared_opts`], a group
+/// runs on the fixed domain `{0, …, k_max}` of its largest `k`, so the
 /// complex queried for a smaller `k` is the larger-domain one (the
 /// reported `vertices`/`facets` describe it).
 pub fn connectivity_sweep_shared(points: &[SweepPoint], threads: usize) -> Vec<ConnectivityResult> {
     use ps_topology::PreparedBoundary;
-    let mut groups: BTreeMap<SweepKey, Vec<usize>> = BTreeMap::new();
-    for (i, p) in points.iter().enumerate() {
-        groups.entry(p.shared_key()).or_default().push(i);
-    }
-    let jobs: Vec<(SweepKey, Vec<usize>)> = groups.into_iter().collect();
-    let answered: Vec<Vec<(usize, ConnectivityResult)>> =
-        ps_topology::parallel::parallel_map(&jobs, threads, |_, (key, idxs)| {
-            let k_max = idxs
-                .iter()
-                .map(|&i| points[i].k())
-                .max()
-                .expect("group is nonempty");
-            let values: BTreeSet<u64> = (0..=k_max as u64).collect();
-            let complex = build_key_complex(key, &values);
+    let (groups, group_of) = group_points(points);
+    let answered: Vec<BTreeMap<usize, ConnectivityResult>> =
+        ps_topology::parallel::parallel_map(&groups, threads, |_, g| {
+            let complex = g.key.parts(&g.values).into_complex();
             let (vertices, facets) = (complex.vertex_count(), complex.facet_count());
             let mut pb = PreparedBoundary::of_id_complex(&complex);
             // ascending k: each query extends the cached reduced prefix
-            let mut order: Vec<usize> = idxs.clone();
-            order.sort_by_key(|&i| points[i].k());
-            order
-                .into_iter()
-                .map(|i| {
-                    let q = points[i].k() as i32 - 1;
+            g.ks.iter()
+                .map(|&k| {
+                    let q = k as i32 - 1;
                     let connected = pb.is_q_connected(q);
                     let result = ConnectivityResult {
                         vertices,
@@ -1156,25 +1049,15 @@ pub fn connectivity_sweep_shared(points: &[SweepPoint], threads: usize) -> Vec<C
                         assembled_columns: pb.assembled_columns(),
                         additions: pb.stats().additions,
                     };
-                    (i, result)
+                    (k, result)
                 })
                 .collect()
         });
-    let mut out: Vec<Option<ConnectivityResult>> = vec![None; points.len()];
-    for group in answered {
-        for (i, r) in group {
-            out[i] = Some(r);
-        }
-    }
-    out.into_iter()
-        .map(|r| r.expect("every point belongs to exactly one group"))
+    points
+        .iter()
+        .zip(&group_of)
+        .map(|(p, &j)| answered[j][&p.k()].clone())
         .collect()
-}
-
-/// [`connectivity_sweep_shared`] with the globally configured thread
-/// count.
-pub fn connectivity_sweep_shared_auto(points: &[SweepPoint]) -> Vec<ConnectivityResult> {
-    connectivity_sweep_shared(points, ps_topology::parallel::configured_threads())
 }
 
 /// Metrics from one store-backed sweep ([`solvability_sweep_shared_store`]).
@@ -1231,36 +1114,24 @@ pub fn solvability_sweep_shared_store(
     store: &mut VerdictStore,
 ) -> std::io::Result<(Vec<SolvabilityResult>, StoreSweepReport)> {
     let mut report = StoreSweepReport::default();
-    let mut groups: BTreeMap<SweepKey, Vec<usize>> = BTreeMap::new();
-    for (i, p) in points.iter().enumerate() {
-        groups.entry(p.shared_key()).or_default().push(i);
-    }
-    let jobs: Vec<(SweepKey, Vec<usize>)> = groups.into_iter().collect();
-    report.groups = jobs.len();
+    let (groups, group_of) = group_points(points);
+    report.groups = groups.len();
 
     // Phase A1 (parallel): build each group's instance (+ symmetries).
-    let job_ids: Vec<usize> = (0..jobs.len()).collect();
     let built: Vec<PreparedGroup> =
-        ps_topology::parallel::parallel_map(&job_ids, threads, |_, &j| {
-            let (key, idxs) = &jobs[j];
-            let k_max = idxs
-                .iter()
-                .map(|&i| points[i].k())
-                .max()
-                .expect("group is nonempty");
-            let values: BTreeSet<u64> = (0..=k_max as u64).collect();
-            build_group(key, &values, opts.symmetry)
+        ps_topology::parallel::parallel_map(&groups, threads, |_, g| {
+            build_group(&g.key, &g.values, opts.symmetry)
         });
 
     // Phase A2 (parallel): address every group — a cheap structural
     // key always, plus the exact canonical key when the (size-gated)
     // canonicalization attempt succeeds.
     let keys: Vec<(crate::symmetry::StructuralKey, Option<ExactKey>)> =
-        ps_topology::parallel::parallel_map(&job_ids, threads, |_, &j| {
-            (built[j].structural_key(), built[j].key_gated())
+        ps_topology::parallel::parallel_map(&built, threads, |_, g| {
+            (g.structural_key(), g.key_gated())
         });
     report.inexact_keys = keys.iter().filter(|(_, k)| k.is_none()).count();
-    let mut rep_of: Vec<usize> = (0..jobs.len()).collect();
+    let mut rep_of: Vec<usize> = (0..groups.len()).collect();
     let mut by_exact: BTreeMap<&ExactKey, usize> = BTreeMap::new();
     let mut by_structural: BTreeMap<&crate::symmetry::StructuralKey, usize> = BTreeMap::new();
     for (j, (structural, exact)) in keys.iter().enumerate() {
@@ -1269,13 +1140,7 @@ pub fn solvability_sweep_shared_store(
             None => *by_structural.entry(structural).or_insert(j),
         };
     }
-
-    // Per class: the union of its members' agreement parameters.
-    let mut class_ks: BTreeMap<usize, BTreeSet<usize>> = BTreeMap::new();
-    for (j, (_, idxs)) in jobs.iter().enumerate() {
-        let ks = class_ks.entry(rep_of[j]).or_default();
-        ks.extend(idxs.iter().map(|&i| points[i].k()));
-    }
+    let class_ks = class_ks(&groups, &rep_of);
     report.classes = class_ks.len();
 
     // Warm start: replay every stored (class, k) verdict; what's left
@@ -1346,17 +1211,8 @@ pub fn solvability_sweep_shared_store(
         store.flush()?;
     }
 
-    // Scatter: replay each class's verdicts to every member point.
-    let mut out: Vec<Option<SolvabilityResult>> = vec![None; points.len()];
-    for (j, (_, idxs)) in jobs.iter().enumerate() {
-        for &i in idxs {
-            out[i] = Some(verdicts[&(rep_of[j], points[i].k())].clone());
-        }
-    }
     Ok((
-        out.into_iter()
-            .map(|r| r.expect("every point belongs to exactly one group"))
-            .collect(),
+        scatter_classes(points, &group_of, &rep_of, &verdicts),
         report,
     ))
 }
@@ -1374,12 +1230,8 @@ pub fn async_approximate_solvable(
     n_plus_1: usize,
     rounds: usize,
 ) -> SolvabilityResult {
-    use crate::solver::{AgreementConstraint, DecisionMapSolver};
-    let model = AsyncModel::new(n_plus_1, f);
-    let mut complex = Complex::new();
-    for input in input_faces(n_plus_1, values, n_plus_1.saturating_sub(f)) {
-        complex = complex.union(&model.protocol_complex(&input, rounds));
-    }
+    let (pool, ids) = async_task_parts(values, n_plus_1, f, rounds);
+    let complex = Complex::from_interned(&pool, &ids);
     // validity for approximate agreement: anywhere in the inclusive hull
     // of the inputs the view has seen
     let hull = |v: &View<u64>| -> BTreeSet<u64> {
@@ -1448,7 +1300,13 @@ pub fn corollary10_async(k: usize, n_plus_1: usize, rounds: usize) -> Corollary1
         connectivity_checks.push((m, ok));
     }
     let hypothesis_holds = connectivity_checks.iter().all(|(_, ok)| *ok);
-    let solver = async_solvable(k, f, n_plus_1, rounds);
+    let solver = SweepPoint::Async {
+        k,
+        f,
+        n_plus_1,
+        rounds,
+    }
+    .run();
     Corollary10Report {
         connectivity_checks,
         hypothesis_holds,
@@ -1501,7 +1359,7 @@ mod tests {
         let serial: Vec<_> = points.iter().map(SweepPoint::run).collect();
         for threads in [1, 2, 4] {
             assert_eq!(
-                solvability_sweep(&points, threads),
+                solvability_sweep_opts(&points, threads, SweepOptions::default()),
                 serial,
                 "threads={threads}"
             );
@@ -1558,8 +1416,9 @@ mod tests {
             family: GraphFamily::StronglyConnected,
             rounds: 1,
         });
-        let canonical = solvability_sweep(&points, 1);
-        let shared = solvability_sweep_shared(&points, 1);
+        let opts = SweepOptions::default();
+        let canonical = solvability_sweep_opts(&points, 1, opts);
+        let shared = solvability_sweep_shared_opts(&points, 1, opts);
         assert_eq!(shared.len(), canonical.len());
         for (i, (s, c)) in shared.iter().zip(&canonical).enumerate() {
             assert_eq!(s.solvable, c.solvable, "point {i}: {:?}", points[i]);
@@ -1567,7 +1426,7 @@ mod tests {
         // deterministic across thread counts
         for threads in [2, 3, 8] {
             assert_eq!(
-                solvability_sweep_shared(&points, threads),
+                solvability_sweep_shared_opts(&points, threads, opts),
                 shared,
                 "threads={threads}"
             );
@@ -1635,31 +1494,47 @@ mod tests {
             },
         ];
         for opts in configs {
-            for (k, f) in [(1usize, 1usize), (2, 1), (2, 2)] {
-                let on = async_solvable(k, f, 3, 1);
-                let off = async_solvable_opts(k, f, 3, 1, opts);
-                assert_eq!(on, off, "async k={k} f={f} {opts:?}");
+            let mut points: Vec<SweepPoint> = [(1usize, 1usize), (2, 1), (2, 2)]
+                .into_iter()
+                .map(|(k, f)| SweepPoint::Async {
+                    k,
+                    f,
+                    n_plus_1: 3,
+                    rounds: 1,
+                })
+                .collect();
+            points.extend([
+                SweepPoint::Sync {
+                    k: 1,
+                    f: 1,
+                    n_plus_1: 3,
+                    k_per_round: 1,
+                    rounds: 2,
+                },
+                SweepPoint::SemiSync {
+                    k: 1,
+                    f: 1,
+                    n_plus_1: 2,
+                    k_per_round: 1,
+                    microrounds: 2,
+                    rounds: 1,
+                },
+                SweepPoint::Byzantine {
+                    k: 2,
+                    t: 1,
+                    n_plus_1: 3,
+                    rounds: 1,
+                },
+                SweepPoint::Dynamic {
+                    k: 1,
+                    n_plus_1: 2,
+                    family: GraphFamily::Rooted,
+                    rounds: 1,
+                },
+            ]);
+            for p in &points {
+                assert_eq!(p.run(), p.run_opts(opts), "{p:?} {opts:?}");
             }
-            assert_eq!(
-                sync_solvable(1, 1, 3, 1, 2),
-                sync_solvable_opts(1, 1, 3, 1, 2, opts),
-                "{opts:?}"
-            );
-            assert_eq!(
-                semisync_solvable(1, 1, 2, 1, 2, 1),
-                semisync_solvable_opts(1, 1, 2, 1, 2, 1, opts),
-                "{opts:?}"
-            );
-            assert_eq!(
-                byzantine_solvable(2, 1, 3, 1),
-                byzantine_solvable_opts(2, 1, 3, 1, opts),
-                "{opts:?}"
-            );
-            assert_eq!(
-                dynamic_solvable(1, 2, GraphFamily::Rooted, 1),
-                dynamic_solvable_opts(1, 2, GraphFamily::Rooted, 1, opts),
-                "{opts:?}"
-            );
         }
     }
 
@@ -1683,9 +1558,10 @@ mod tests {
                 rounds: 1,
             },
         ];
+        let opts = SweepOptions::default();
         assert_eq!(
-            solvability_sweep_shared(&points, 1),
-            solvability_sweep(&points, 1)
+            solvability_sweep_shared_opts(&points, 1, opts),
+            solvability_sweep_opts(&points, 1, opts)
         );
     }
 
@@ -1713,25 +1589,55 @@ mod tests {
     fn byzantine_consensus_follows_mendes_herlihy_rounds() {
         // t = 1, k = 1: the bound says ⌈t/k⌉ = 1 round cannot suffice
         // and indeed one round is not enough, while two rounds are.
-        let one = byzantine_solvable(1, 1, 3, 1);
+        let one = SweepPoint::Byzantine {
+            k: 1,
+            t: 1,
+            n_plus_1: 3,
+            rounds: 1,
+        }
+        .run();
         assert!(!one.solvable, "{one:?}");
-        let two = byzantine_solvable(1, 1, 3, 2);
+        let two = SweepPoint::Byzantine {
+            k: 1,
+            t: 1,
+            n_plus_1: 3,
+            rounds: 2,
+        }
+        .run();
         assert!(two.solvable, "{two:?}");
         // t = 0 degenerates to fault-free lockstep: trivially solvable.
-        let clean = byzantine_solvable(1, 0, 3, 1);
+        let clean = SweepPoint::Byzantine {
+            k: 1,
+            t: 0,
+            n_plus_1: 3,
+            rounds: 1,
+        }
+        .run();
         assert!(clean.solvable, "{clean:?}");
     }
 
     #[test]
     fn byzantine_2set_with_one_fault_solvable_in_one_round() {
         // k = 2 > t = 1: ⌈t/k⌉ = 1 round suffices.
-        let r = byzantine_solvable(2, 1, 3, 1);
+        let r = SweepPoint::Byzantine {
+            k: 2,
+            t: 1,
+            n_plus_1: 3,
+            rounds: 1,
+        }
+        .run();
         assert!(r.solvable, "{r:?}");
     }
 
     #[test]
     fn dynamic_strong_two_processes_solve_consensus_in_one_round() {
-        let r = dynamic_solvable(1, 2, GraphFamily::StronglyConnected, 1);
+        let r = SweepPoint::Dynamic {
+            k: 1,
+            n_plus_1: 2,
+            family: GraphFamily::StronglyConnected,
+            rounds: 1,
+        }
+        .run();
         assert!(r.solvable, "{r:?}");
     }
 
@@ -1741,7 +1647,13 @@ mod tests {
         // facets chain the complex into a connected path: no one- or
         // two-round decision map exists.
         for rounds in [1usize, 2] {
-            let r = dynamic_solvable(1, 2, GraphFamily::Rooted, rounds);
+            let r = SweepPoint::Dynamic {
+                k: 1,
+                n_plus_1: 2,
+                family: GraphFamily::Rooted,
+                rounds,
+            }
+            .run();
             assert!(!r.solvable, "rounds={rounds}: {r:?}");
         }
     }
@@ -1785,7 +1697,13 @@ mod tests {
     #[test]
     fn async_consensus_impossible_one_round() {
         // k = 1 ≤ f = 1: Corollary 13 says unsolvable at any r; check r=1.
-        let r = async_solvable(1, 1, 3, 1);
+        let r = SweepPoint::Async {
+            k: 1,
+            f: 1,
+            n_plus_1: 3,
+            rounds: 1,
+        }
+        .run();
         assert!(!r.solvable, "{r:?}");
         assert!(r.vertices > 0);
     }
@@ -1793,23 +1711,50 @@ mod tests {
     #[test]
     fn async_2set_with_one_failure_solvable() {
         // k = 2 > f = 1: solvable (the threshold k ≤ f is tight).
-        let r = async_solvable(2, 1, 3, 1);
+        let r = SweepPoint::Async {
+            k: 2,
+            f: 1,
+            n_plus_1: 3,
+            rounds: 1,
+        }
+        .run();
         assert!(r.solvable, "{r:?}");
     }
 
     #[test]
     fn sync_consensus_needs_two_rounds_with_three_processes() {
         // classic: with n+1 = 3 ≥ f + 2, consensus needs f+1 = 2 rounds.
-        let one = sync_solvable(1, 1, 3, 1, 1);
+        let one = SweepPoint::Sync {
+            k: 1,
+            f: 1,
+            n_plus_1: 3,
+            k_per_round: 1,
+            rounds: 1,
+        }
+        .run();
         assert!(!one.solvable, "{one:?}");
-        let two = sync_solvable(1, 1, 3, 1, 2);
+        let two = SweepPoint::Sync {
+            k: 1,
+            f: 1,
+            n_plus_1: 3,
+            k_per_round: 1,
+            rounds: 2,
+        }
+        .run();
         assert!(two.solvable, "{two:?}");
     }
 
     #[test]
     fn sync_2set_one_failure_one_round_solvable() {
         // k = 2, f = 1: ⌊f/k⌋ + 1 = 1 round suffices.
-        let r = sync_solvable(2, 1, 3, 1, 1);
+        let r = SweepPoint::Sync {
+            k: 2,
+            f: 1,
+            n_plus_1: 3,
+            k_per_round: 1,
+            rounds: 1,
+        }
+        .run();
         assert!(r.solvable, "{r:?}");
     }
 }

@@ -301,8 +301,7 @@ impl QueryEngine {
             ps_topology::parallel::parallel_map(&solve_items, self.threads, |_, item| {
                 let t = Instant::now();
                 let entry = prepared.get(item).expect("built above");
-                let mut rs = entry.group.solve_ks(&[item.1], learning);
-                let (_, r) = rs.pop().expect("exactly one k");
+                let r = entry.group.solve(item.1, learning);
                 (r, t.elapsed().as_micros())
             });
         self.metrics.solver_calls += solve_items.len() as u64;

@@ -91,7 +91,7 @@ fn bench_parallel_homology(c: &mut Criterion) {
 /// Batched model sweep: the (k, r) grid of sync solvability instances
 /// dispatched as a job queue on the shared pool.
 fn bench_sweep_batch(c: &mut Criterion) {
-    use ps_agreement::{solvability_sweep, SweepPoint};
+    use ps_agreement::{solvability_sweep_opts, SweepOptions, SweepPoint};
     let mut group = c.benchmark_group("solvability_sweep");
     group.sample_size(10);
     let points: Vec<SweepPoint> = (1..=2usize)
@@ -109,7 +109,9 @@ fn bench_sweep_batch(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("sync_n3_grid4", threads),
             &threads,
-            |b, &t| b.iter(|| black_box(solvability_sweep(&points, t))),
+            |b, &t| {
+                b.iter(|| black_box(solvability_sweep_opts(&points, t, SweepOptions::default())))
+            },
         );
     }
     group.finish();
@@ -120,7 +122,9 @@ fn bench_sweep_batch(c: &mut Criterion) {
 /// solves every k against one prepared instance, so the gap between
 /// the two groups is the re-preparation cost the amortization removes.
 fn bench_sweep_shared(c: &mut Criterion) {
-    use ps_agreement::{solvability_sweep, solvability_sweep_shared, SweepPoint};
+    use ps_agreement::{
+        solvability_sweep_opts, solvability_sweep_shared_opts, SweepOptions, SweepPoint,
+    };
     let mut group = c.benchmark_group("solvability_sweep_shared");
     group.sample_size(10);
     let points: Vec<SweepPoint> = (1..=3usize)
@@ -133,10 +137,16 @@ fn bench_sweep_shared(c: &mut Criterion) {
         })
         .collect();
     group.bench_function("sync_n4_ksweep3_per_point", |b| {
-        b.iter(|| black_box(solvability_sweep(&points, 1)))
+        b.iter(|| black_box(solvability_sweep_opts(&points, 1, SweepOptions::default())))
     });
     group.bench_function("sync_n4_ksweep3_shared", |b| {
-        b.iter(|| black_box(solvability_sweep_shared(&points, 1)))
+        b.iter(|| {
+            black_box(solvability_sweep_shared_opts(
+                &points,
+                1,
+                SweepOptions::default(),
+            ))
+        })
     });
     group.finish();
 }

@@ -5,6 +5,11 @@ use std::fmt;
 
 use ps_topology::Simplex;
 
+/// The largest base set the subset enumerators accept (they walk a
+/// `u32` bit mask over `2^n` subsets): the process-count limit of every
+/// model built on them.
+pub const MAX_SUBSET_ELEMENTS: usize = 20;
+
 /// A process identity `P_i` in a system of `n + 1` processes.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ProcessId(pub u32);
@@ -60,7 +65,7 @@ pub fn subsets_of_min_size<T: Clone + Ord>(
 ) -> Vec<BTreeSet<T>> {
     let items: Vec<&T> = base.iter().collect();
     assert!(
-        items.len() <= 20,
+        items.len() <= MAX_SUBSET_ELEMENTS,
         "subset enumeration limited to ≤ 20 elements"
     );
     let mut out = Vec::new();
@@ -87,7 +92,7 @@ pub fn subsets_of_min_size<T: Clone + Ord>(
 pub fn subsets_up_to_size<T: Clone + Ord>(base: &BTreeSet<T>, max_size: usize) -> Vec<BTreeSet<T>> {
     let items: Vec<&T> = base.iter().collect();
     assert!(
-        items.len() <= 20,
+        items.len() <= MAX_SUBSET_ELEMENTS,
         "subset enumeration limited to ≤ 20 elements"
     );
     let mut out = Vec::new();

@@ -34,10 +34,11 @@ use ps_topology::{Complex, InternedBuilder, Label, Simplex};
 use crate::view::{input_views, InputSimplex, View};
 
 /// A generator for the oblivious message adversary's graph set `D`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum GraphFamily {
     /// Graphs containing a rooted (out-)spanning tree: some process has
     /// a directed path to every other.
+    #[default]
     Rooted,
     /// Strongly connected graphs: every process has a directed path to
     /// every other.
@@ -52,6 +53,13 @@ impl GraphFamily {
             GraphFamily::Rooted => "rooted",
             GraphFamily::StronglyConnected => "strong",
         }
+    }
+
+    /// The family whose [`GraphFamily::name`] is `name`, if any.
+    pub fn from_name(name: &str) -> Option<GraphFamily> {
+        [GraphFamily::Rooted, GraphFamily::StronglyConnected]
+            .into_iter()
+            .find(|f| f.name() == name)
     }
 
     /// Does `self` admit the digraph given by `reach`, where
@@ -290,5 +298,9 @@ mod tests {
     fn graph_family_names() {
         assert_eq!(GraphFamily::Rooted.name(), "rooted");
         assert_eq!(GraphFamily::StronglyConnected.name(), "strong");
+        for family in [GraphFamily::Rooted, GraphFamily::StronglyConnected] {
+            assert_eq!(GraphFamily::from_name(family.name()), Some(family));
+        }
+        assert_eq!(GraphFamily::from_name("ring"), None);
     }
 }

@@ -6,7 +6,7 @@
 //! cargo run --release --example consensus_impossibility
 //! ```
 
-use pseudosphere::agreement::{allowed_values, async_solvable, async_task_complex, KSetAgreement};
+use pseudosphere::agreement::{allowed_values, async_task_complex, KSetAgreement, SweepPoint};
 use pseudosphere::topology::ConnectivityAnalyzer;
 
 fn main() {
@@ -22,7 +22,13 @@ fn main() {
     let sweep: [(usize, usize, usize); 5] = [(1, 1, 2), (1, 2, 1), (2, 2, 1), (2, 1, 1), (3, 2, 1)];
     for (k, f, max_r) in sweep {
         for r in 1..=max_r {
-            let res = async_solvable(k, f, 3, r);
+            let res = SweepPoint::Async {
+                k,
+                f,
+                n_plus_1: 3,
+                rounds: r,
+            }
+            .run();
             let verdict = if res.solvable { "YES" } else { "no (proof)" };
             let marker = if k <= f {
                 "k ≤ f ⇒ expect no"

@@ -9,8 +9,7 @@ use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 use pseudosphere::agreement::{
-    async_approximate_solvable, async_solvable, corollary10_async, stretch_experiment,
-    sync_solvable,
+    async_approximate_solvable, corollary10_async, stretch_experiment, SweepPoint,
 };
 use pseudosphere::core::{process_simplex, MvProver, Pseudosphere};
 use pseudosphere::models::{input_simplex, AsyncModel, IisModel, SemiSyncModel, SyncModel};
@@ -83,7 +82,13 @@ fn main() {
         (2, 2, 1),
         (2, 1, 1),
     ] {
-        let res = async_solvable(k, f, 3, rounds);
+        let res = SweepPoint::Async {
+            k,
+            f,
+            n_plus_1: 3,
+            rounds,
+        }
+        .run();
         let _ = writeln!(
             r,
             "  k={k} f={f} r={rounds}: {} ({} vertices, {} facets)",
@@ -110,7 +115,14 @@ fn main() {
     for (n, f, k) in [(3usize, 1usize, 1usize), (4, 1, 1), (3, 1, 2), (3, 2, 2)] {
         let mut row = format!("  n+1={n} f={f} k={k}:");
         for rounds in 0..=(f / k + 1) {
-            let res = sync_solvable(k, f, n, f.min(k.max(1)), rounds);
+            let res = SweepPoint::Sync {
+                k,
+                f,
+                n_plus_1: n,
+                k_per_round: f.min(k.max(1)),
+                rounds,
+            }
+            .run();
             let _ = write!(
                 row,
                 " r{rounds}={}",

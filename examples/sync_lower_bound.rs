@@ -9,7 +9,7 @@
 //! cargo run --release --example sync_lower_bound
 //! ```
 
-use pseudosphere::agreement::{sync_solvable, FloodSet};
+use pseudosphere::agreement::{FloodSet, SweepPoint};
 use pseudosphere::runtime::{RandomAdversary, SyncExecutor};
 
 fn floodset_agrees(n_plus_1: usize, f: usize, k: usize, rounds: usize, seeds: u64) -> bool {
@@ -35,7 +35,14 @@ fn main() {
         let n = n_plus_1 - 1;
         let bound = if n > f + k { f / k + 1 } else { f / k };
         for r in 0..=(f / k + 1) {
-            let solver = sync_solvable(k, f, n_plus_1, f.min(k.max(1)), r);
+            let solver = SweepPoint::Sync {
+                k,
+                f,
+                n_plus_1,
+                k_per_round: f.min(k.max(1)),
+                rounds: r,
+            }
+            .run();
             let fs = if r >= 1 {
                 if floodset_agrees(n_plus_1, f, k, r, 200) {
                     "agrees"

@@ -7,8 +7,7 @@
 
 use proptest::prelude::*;
 use pseudosphere::agreement::{
-    byzantine_solvable_opts, dynamic_solvable_opts, solvability_sweep, solvability_sweep_shared,
-    SweepOptions, SweepPoint,
+    solvability_sweep_opts, solvability_sweep_shared_opts, SweepOptions, SweepPoint,
 };
 use pseudosphere::models::{input_simplex, ByzantineModel, DynamicModel, GraphFamily};
 use pseudosphere::runtime::{enumerate_byzantine_views, enumerate_dynamic_views};
@@ -70,8 +69,8 @@ proptest! {
             SweepPoint::Byzantine { k, t, n_plus_1: 3, rounds: 1 },
             SweepPoint::Dynamic { k, n_plus_1: 2, family: family_of(rooted == 1), rounds: 1 },
         ];
-        let independent = solvability_sweep(&points, 1);
-        let shared = solvability_sweep_shared(&points, 2);
+        let independent = solvability_sweep_opts(&points, 1, SweepOptions::default());
+        let shared = solvability_sweep_shared_opts(&points, 2, SweepOptions::default());
         for (i, (s, c)) in shared.iter().zip(&independent).enumerate() {
             prop_assert_eq!(s.solvable, c.solvable, "point {}: {:?}", i, points[i]);
         }
@@ -90,13 +89,13 @@ proptest! {
         let on = SweepOptions { symmetry: true, ..SweepOptions::default() };
         let off = SweepOptions { symmetry: false, ..SweepOptions::default() };
         prop_assert_eq!(
-            byzantine_solvable_opts(k, t, 3, byz_rounds, on),
-            byzantine_solvable_opts(k, t, 3, byz_rounds, off),
+            SweepPoint::Byzantine { k, t, n_plus_1: 3, rounds: byz_rounds }.run_opts(on),
+            SweepPoint::Byzantine { k, t, n_plus_1: 3, rounds: byz_rounds }.run_opts(off),
         );
         let family = family_of(rooted == 1);
         prop_assert_eq!(
-            dynamic_solvable_opts(k, 2, family, rounds, on),
-            dynamic_solvable_opts(k, 2, family, rounds, off),
+            SweepPoint::Dynamic { k, n_plus_1: 2, family, rounds }.run_opts(on),
+            SweepPoint::Dynamic { k, n_plus_1: 2, family, rounds }.run_opts(off),
         );
     }
 }

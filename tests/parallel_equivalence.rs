@@ -10,7 +10,9 @@
 
 use std::collections::BTreeSet;
 
-use pseudosphere::agreement::{solvability_sweep, solvability_sweep_shared, SweepPoint};
+use pseudosphere::agreement::{
+    solvability_sweep_opts, solvability_sweep_shared_opts, SweepOptions, SweepPoint,
+};
 use pseudosphere::core::ProcessId;
 use pseudosphere::models::{input_simplex, FailurePattern, SemiSyncModel, SyncModel};
 use pseudosphere::topology::{parallel, ConnectivityAnalyzer, Homology};
@@ -86,9 +88,13 @@ fn solver_sweep_is_thread_invariant() {
             rounds: 1,
         },
     ];
-    let serial = solvability_sweep(&points, 1);
+    let serial = solvability_sweep_opts(&points, 1, SweepOptions::default());
     for t in THREADS {
-        assert_eq!(solvability_sweep(&points, t), serial, "threads={t}");
+        assert_eq!(
+            solvability_sweep_opts(&points, t, SweepOptions::default()),
+            serial,
+            "threads={t}"
+        );
     }
 }
 
@@ -122,12 +128,16 @@ fn shared_solver_sweep_is_thread_invariant() {
         microrounds: 2,
         rounds: 1,
     });
-    let serial = solvability_sweep_shared(&points, 1);
+    let serial = solvability_sweep_shared_opts(&points, 1, SweepOptions::default());
     for t in THREADS {
-        assert_eq!(solvability_sweep_shared(&points, t), serial, "threads={t}");
+        assert_eq!(
+            solvability_sweep_shared_opts(&points, t, SweepOptions::default()),
+            serial,
+            "threads={t}"
+        );
     }
     // verdicts coincide with the per-point canonical path
-    let canonical = solvability_sweep(&points, 1);
+    let canonical = solvability_sweep_opts(&points, 1, SweepOptions::default());
     for (i, (s, c)) in serial.iter().zip(&canonical).enumerate() {
         assert_eq!(s.solvable, c.solvable, "point {i}: {:?}", points[i]);
     }
