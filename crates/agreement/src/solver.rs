@@ -249,35 +249,43 @@ impl<V: Label> PreparedInstance<V> {
     pub fn attach_symmetries(&mut self, syms: impl IntoIterator<Item = InstanceSymmetry>) -> usize {
         let before = self.symmetries.len();
         let n = self.vertices.len();
+        // intern the domains: `table` holds each distinct domain once,
+        // `domain_of[v]` is vertex v's index into it
+        let table: Vec<&BTreeSet<u64>> = self
+            .domains
+            .iter()
+            .collect::<BTreeSet<_>>()
+            .into_iter()
+            .collect();
+        let domain_of: Vec<usize> = self
+            .domains
+            .iter()
+            .map(|d| table.binary_search(&d).expect("domain in table"))
+            .collect();
+        let max_value = table.iter().filter_map(|d| d.last()).max().copied();
         for sym in syms {
-            if sym.vertex.len() != n {
-                continue;
-            }
-            if self
-                .domains
-                .iter()
-                .flatten()
-                .any(|&x| x as usize >= sym.values.len())
+            if sym.vertex.len() != n
+                || sym.is_value_identity()
+                || !(0..n).any(|v| sym.vertex[v] as usize == v)
+                || max_value.is_some_and(|x| x as usize >= sym.values.len())
             {
                 continue;
             }
-            let equivariant = (0..n).all(|v| {
-                let mapped: BTreeSet<u64> = self.domains[v]
-                    .iter()
-                    .map(|&x| sym.values[x as usize])
-                    .collect();
-                self.domains[sym.vertex[v] as usize] == mapped
+            // π(D) for each distinct domain D, as its table index (a
+            // domain no vertex has makes the symmetry non-equivariant)
+            let mapped: Option<Vec<usize>> = table
+                .iter()
+                .map(|d| {
+                    let image: BTreeSet<u64> = d.iter().map(|&x| sym.values[x as usize]).collect();
+                    table.binary_search(&&image).ok()
+                })
+                .collect();
+            let equivariant = mapped.is_some_and(|mapped| {
+                (0..n).all(|v| domain_of[sym.vertex[v] as usize] == mapped[domain_of[v]])
             });
-            if !equivariant {
-                continue;
+            if equivariant {
+                self.symmetries.push(sym);
             }
-            if sym.is_value_identity() {
-                continue;
-            }
-            if !(0..n).any(|v| sym.vertex[v] as usize == v) {
-                continue;
-            }
-            self.symmetries.push(sym);
         }
         self.symmetries.len() - before
     }

@@ -52,6 +52,9 @@ pub use complex::Complex;
 pub mod intern;
 pub use intern::{IdComplex, IdSimplex, InternedBuilder, VertexPool};
 
+pub mod word_hash;
+pub use word_hash::{BuildWordHasher, WordHasher};
+
 pub mod matrix;
 
 pub mod parallel;
