@@ -17,8 +17,9 @@
 //!   permutation through a [`VertexPool`](ps_topology::VertexPool),
 //!   applying permutations to [`IdSimplex`](ps_topology::IdSimplex) /
 //!   [`IdComplex`](ps_topology::IdComplex), and an
-//!   [`action::AutomorphismValidator`] that
-//!   certifies a proposed generator set actually preserves a complex.
+//!   [`action::AutomorphismValidator`] that decides, with one
+//!   allocation-free walk over the facets, whether a permutation
+//!   preserves a complex.
 //! - [`canon`] — canonical forms of colored complexes via iterative
 //!   color refinement with a budgeted partition-backtracking fallback,
 //!   so two isomorphic instances produce the same canonical key.
